@@ -5,11 +5,16 @@
 // return bitwise-identical values (test-pinned), so this measures pure
 // throughput on the dominant fill-loop cost.
 //
+// Also times one value+gradient call (CmpNetwork::evaluate(x, true): the
+// session forward plus the input VJP per layer) — what an accepted SQP step
+// costs.
+//
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates fill_evals_per_s, higher is
-// better).  Measured single-threaded: the batched win here is amortized
-// per-evaluation overhead (per-call kernel dispatch, session setup, GEMM
-// panel reuse across the deep narrow conv levels), not extra cores.
+// better, and sqp_grad_ms, lower is better).  Measured single-threaded: the
+// batched win here is amortized per-evaluation overhead (per-call kernel
+// dispatch, session setup, GEMM panel reuse across the deep narrow conv
+// levels), not extra cores.
 
 #include <algorithm>
 #include <cstdio>
@@ -77,9 +82,12 @@ int main(int argc, char** argv) {
     return acc;
   };
 
+  const auto run_gradient = [&] { return net.evaluate(xs[0], true).s_plan; };
+
   run_serial();
   run_batched();  // warm-up (arena growth, scratch buffers)
-  std::vector<double> serial_s(kReps), batched_s(kReps);
+  run_gradient();
+  std::vector<double> serial_s(kReps), batched_s(kReps), grad_s(kReps);
   for (int r = 0; r < kReps; ++r) {
     Timer t;
     run_serial();
@@ -90,24 +98,31 @@ int main(int argc, char** argv) {
     run_batched();
     batched_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
   }
+  for (int r = 0; r < kReps; ++r) {
+    Timer t;
+    run_gradient();
+    grad_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+  }
   runtime::set_thread_count(0);
 
   const double serial_eps = kBatch / best_s(serial_s);
   const double batched_eps = kBatch / best_s(batched_s);
   const double speedup = batched_eps / serial_eps;
+  const double grad_ms = best_s(grad_s) * 1e3;
   std::printf("=== fill objective throughput, %dx%d windows, %zu layers, "
               "batch %d, 1 thread ===\n",
               kWindows, kWindows, layers, kBatch);
   std::printf("serial batch-1 loop:  %10.1f evals/s\n", serial_eps);
   std::printf("batched evaluate:     %10.1f evals/s\n", batched_eps);
   std::printf("batching speedup:     %10.2fx\n", speedup);
+  std::printf("value+gradient call:  %10.3f ms\n", grad_ms);
 
   char json[256];
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"fill_throughput\",\"fill_evals_per_s\":%.1f,"
                 "\"fill_evals_per_s_serial\":%.1f,"
-                "\"fill_batch_speedup\":%.3f}",
-                batched_eps, serial_eps, speedup);
+                "\"fill_batch_speedup\":%.3f,\"sqp_grad_ms\":%.3f}",
+                batched_eps, serial_eps, speedup, grad_ms);
   std::printf("\nJSON: %s\n", json);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -7,10 +7,15 @@
 // GEMM panel packing, and epilogue setup amortize across the batch.  The
 // gated key is per-sample latency at the fill loop's batch size.
 //
+// Also times the session's input VJP on the production architecture (group
+// norm on): one run_saving() + vjp() pass — what one layer of a fill
+// gradient costs — against the autograd tape's forward + backward.
+//
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates unet_infer_ms_1t,
-// infer_vs_autograd_speedup — the redesign's acceptance is >= 2x — and
-// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency).
+// infer_vs_autograd_speedup — the redesign's acceptance is >= 2x —
+// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency, and
+// unet_vjp_ms_1t).
 
 #include <algorithm>
 #include <cstdio>
@@ -21,6 +26,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "nn/infer/session.hpp"
+#include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "nn/unet.hpp"
 #include "runtime/parallel.hpp"
@@ -117,6 +123,44 @@ int main(int argc, char** argv) {
   }
   runtime::set_thread_count(0);
 
+  // Input VJP: session forward-with-saving + reverse pass vs the tape.
+  nn::UNetConfig gn_cfg = cfg;
+  gn_cfg.use_group_norm = true;
+  nn::UNet gn_net(gn_cfg, rng);
+  const nn::InferenceSession gn_session(gn_net, kHeight, kWidth);
+  const std::vector<float> d_output(output.size(), 1.0f / kHeight);
+  std::vector<float> d_input(input.size());
+  nn::InferenceSession::SavedActivations saved;
+  const auto run_vjp = [&] {
+    gn_session.run_saving(input.data(), output.data(), saved);
+    gn_session.vjp(saved, d_output.data(), d_input.data());
+  };
+  const auto run_tape = [&] {
+    const nn::Tensor x = nn::Tensor::from_data(
+        {1, cfg.in_channels, kHeight, kWidth}, input, true);
+    const nn::Tensor dy =
+        nn::Tensor::from_data({1, 1, kHeight, kWidth}, d_output);
+    nn::sum(nn::mul(gn_net.forward(x), dy)).backward();
+    d_input[0] = x.grad()[0];
+  };
+  runtime::set_thread_count(1);
+  run_vjp();
+  run_tape();
+  std::vector<double> vjp_s(kReps), tape_s(kReps);
+  for (int r = 0; r < kReps; ++r) {
+    Timer t;
+    run_vjp();
+    vjp_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+  }
+  for (int r = 0; r < kReps; ++r) {
+    Timer t;
+    run_tape();
+    tape_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+  }
+  runtime::set_thread_count(0);
+  const double vjp_ms = best_ms(vjp_s);
+  const double tape_ms = best_ms(tape_s);
+
   const double auto_ms = best_ms(auto_s);
   const double infer_ms = best_ms(infer_s);
   const double speedup = auto_ms / infer_ms;
@@ -132,14 +176,18 @@ int main(int argc, char** argv) {
   for (std::size_t bi = 0; bi < std::size(kBatches); ++bi)
     std::printf("batched run B=%-2d:     %8.3f ms/sample\n", kBatches[bi],
                 batch_ms[bi]);
+  std::printf("input VJP (group norm): session %.3f ms, tape forward+"
+              "backward %.3f ms, %.2fx\n",
+              vjp_ms, tape_ms, tape_ms / vjp_ms);
 
   char json[512];
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"inference\",\"unet_autograd_ms_1t\":%.3f,"
                 "\"unet_infer_ms_1t\":%.3f,"
                 "\"infer_vs_autograd_speedup\":%.3f,"
-                "\"unet_infer_b8_ms_per_sample\":%.3f}",
-                auto_ms, infer_ms, speedup, b8_ms);
+                "\"unet_infer_b8_ms_per_sample\":%.3f,"
+                "\"unet_vjp_ms_1t\":%.3f}",
+                auto_ms, infer_ms, speedup, b8_ms, vjp_ms);
   std::printf("\nJSON: %s\n", json);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

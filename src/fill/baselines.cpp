@@ -165,8 +165,10 @@ FillRunResult cai_model_fill(const FillProblem& problem,
       },
       options.pkb_steps);
   const ObjectiveFn obj = problem.make_simulator_objective();
+  SqpOptions sqp_options = options.sqp;
+  sqp_options.cheap_gradient = false;  // a gradient costs n + 1 simulations
   const SqpResult sqp =
-      sqp_minimize(obj, problem.flatten(start), problem.bounds(), options.sqp);
+      sqp_minimize(obj, problem.flatten(start), problem.bounds(), sqp_options);
 
   FillRunResult res;
   res.method = "Cai";

@@ -68,6 +68,11 @@ Error corrupt(const std::string& path, const std::string& what) {
       s.f64_vec(yv);
     }
     w.add_section("sqp", s.take());
+    // Separate section so snapshots written before the full-step gradient
+    // schedule still load (absent = ask, the first-iteration default).
+    ByteWriter ls;
+    ls.u32(snap.sqp.full_step_gradient ? 1u : 0u);
+    w.add_section("sqp_schedule", ls.take());
   }
   return w.commit(path);
 }
@@ -136,6 +141,12 @@ Error corrupt(const std::string& path, const std::string& what) {
     }
     if (!s.ok() || !s.at_end())
       return corrupt(path, "malformed 'sqp' section");
+    if (reader->has_section("sqp_schedule")) {
+      ByteReader ls(**reader->section("sqp_schedule"));
+      snap.sqp.full_step_gradient = ls.u32() != 0;
+      if (!ls.ok() || !ls.at_end())
+        return corrupt(path, "malformed 'sqp_schedule' section");
+    }
   }
   return snap;
 }

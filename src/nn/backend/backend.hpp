@@ -104,8 +104,9 @@ class Backend {
                           const float* bias, float* y) = 0;
 
   /// Backward of conv2d_fwd: accumulates (never overwrites) the gradients
-  /// of any non-null output.  `gx` needs `w`; `gw` needs `x`; pass null for
-  /// gradients not required.
+  /// of any non-null output.  `gx` needs `w`; `gw` needs `x` (which may be
+  /// null when `gw` is); pass null for gradients not required.  `gx` does
+  /// not depend on whether `gw`/`gb` are requested.
   virtual void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
                           const float* gy, float* gx, float* gw,
                           float* gb) = 0;
@@ -134,6 +135,16 @@ class Backend {
                               const float* gamma, const float* beta, float* y,
                               double* mean_out, double* istd_out) = 0;
 
+  /// Backward of group_norm_fwd from its saved statistics (`mean`/`istd` as
+  /// group_norm_fwd wrote them): accumulates (never overwrites) into any
+  /// non-null gradient — `gx` [N, C, H, W], `ggamma`/`gbeta` [C].  Group
+  /// sums in double, per (sample, group) in flat index order; `gx` does not
+  /// depend on whether `ggamma`/`gbeta` are requested.
+  virtual void group_norm_bwd(const GroupNormGeom& g, const float* x,
+                              const double* mean, const double* istd,
+                              const float* gamma, const float* gy, float* gx,
+                              float* ggamma, float* gbeta) = 0;
+
   /// 2x2/stride-2 max pool over `planes` independent HxW planes (H, W
   /// even).  When `argmax` is non-null it receives, per output element, the
   /// flat input index of the selected maximum (ties resolved to the
@@ -142,9 +153,19 @@ class Backend {
                               const float* x, float* y,
                               std::int64_t* argmax) = 0;
 
+  /// Backward of maxpool2x2_fwd over `count` pooled outputs:
+  /// gx[argmax[i]] += gy[i] in index order.
+  virtual void maxpool2x2_bwd(std::int64_t count, const std::int64_t* argmax,
+                              const float* gy, float* gx) = 0;
+
   /// Nearest-neighbour 2x upsample over `planes` independent HxW planes.
   virtual void upsample2x_fwd(std::int64_t planes, int height, int width,
                               const float* x, float* y) = 0;
+
+  /// Backward of upsample2x_fwd: each source element accumulates the sum of
+  /// its 2x2 output block (row-major within the block).
+  virtual void upsample2x_bwd(std::int64_t planes, int height, int width,
+                              const float* gy, float* gx) = 0;
 
   /// y[n] = concat(a[n], b[n]) along channels: a is [N, Ca, plane], b is
   /// [N, Cb, plane], y is [N, Ca+Cb, plane] with `plane` = H*W.

@@ -1038,19 +1038,20 @@ void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
   const int cols = Hout * Wout;
   check_unfold_geometry("conv2d_bwd", H, W, kh, kw, g.stride, g.padding, Hout,
                         Wout);
-  NF_CHECK(!(gw || gx) || x != nullptr, "conv2d_bwd: null x");
+  NF_CHECK(!gw || x != nullptr, "conv2d_bwd: null x with gw");
   NF_CHECK(!gx || w != nullptr, "conv2d_bwd: null w with gx");
   const bool identity = identity_unfold(g);
   // Same persistent-scratch scheme as the forward pass; separate buffers
   // because dcol is consumed (col2im) while colbuf is still live for the
   // weight gradient.  The identity unfold needs neither: the weight
   // gradient streams the input directly and the input gradient accumulates
-  // straight out of the GEMM (col2im is elementwise += there).
+  // straight out of the GEMM (col2im is elementwise += there).  Only the
+  // weight gradient reads the unfolded input, so a data-gradient-only call
+  // (the session VJP) never unfolds.
   static thread_local AlignedBuffer<float> tls_colbuf;
   static thread_local AlignedBuffer<float> tls_dcol;
   const std::size_t unfold_elems = static_cast<std::size_t>(K) * cols;
-  float* colbuf =
-      (!identity && (gw || gx)) ? tls_colbuf.ensure(unfold_elems) : nullptr;
+  float* colbuf = (!identity && gw) ? tls_colbuf.ensure(unfold_elems) : nullptr;
   float* dcol = (!identity && gx) ? tls_dcol.ensure(unfold_elems) : nullptr;
   // Same serial threshold as the forward pass: the backward unfolds and
   // GEMMs are the same shapes, plus one col2im scatter.
@@ -1062,13 +1063,14 @@ void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
     const float* gout = gy + static_cast<std::int64_t>(n) * O * cols;
     const float* xn =
         x ? x + static_cast<std::int64_t>(n) * C * H * W : nullptr;
-    // The unfolded input is recomputed rather than cached: it is the
-    // largest intermediate and recomputation is one im2col pass.
-    if (!identity && (gw || gx))
-      im2col(xn, C, H, W, kh, kw, g.stride, g.padding, Hout, Wout, colbuf);
-    const float* rhs = identity ? xn : colbuf;
-    if (gw)  // dW += dOut (O,cols) * col^T (cols,K)
-      gemm_nt(O, K, cols, gout, rhs, gw, true);
+    if (gw) {
+      // The unfolded input is recomputed rather than cached: it is the
+      // largest intermediate and recomputation is one im2col pass.
+      if (!identity)
+        im2col(xn, C, H, W, kh, kw, g.stride, g.padding, Hout, Wout, colbuf);
+      // dW += dOut (O,cols) * col^T (cols,K)
+      gemm_nt(O, K, cols, gout, identity ? xn : colbuf, gw, true);
+    }
     if (gx) {
       float* gxn = gx + static_cast<std::int64_t>(n) * C * H * W;
       if (identity) {  // dX += W^T (K,O) * dOut (O,cols), no scatter needed

@@ -34,10 +34,18 @@ class CpuBackend final : public Backend {
   void group_norm_fwd(const GroupNormGeom& g, const float* x,
                       const float* gamma, const float* beta, float* y,
                       double* mean_out, double* istd_out) override;
+  void group_norm_bwd(const GroupNormGeom& g, const float* x,
+                      const double* mean, const double* istd,
+                      const float* gamma, const float* gy, float* gx,
+                      float* ggamma, float* gbeta) override;
   void maxpool2x2_fwd(std::int64_t planes, int height, int width,
                       const float* x, float* y, std::int64_t* argmax) override;
+  void maxpool2x2_bwd(std::int64_t count, const std::int64_t* argmax,
+                      const float* gy, float* gx) override;
   void upsample2x_fwd(std::int64_t planes, int height, int width,
                       const float* x, float* y) override;
+  void upsample2x_bwd(std::int64_t planes, int height, int width,
+                      const float* gy, float* gx) override;
   void concat_channels_fwd(int batch, int channels_a, int channels_b,
                            std::int64_t plane, const float* a, const float* b,
                            float* y) override;

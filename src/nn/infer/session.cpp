@@ -199,7 +199,42 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
            values_[out_value_].channels, cfg.out_channels);
 
   plan_arena(options.reuse_buffers);
+  plan_saved();
   if (options.prepack_weights) prepack_weights();
+}
+
+void InferenceSession::plan_saved() {
+  // Private slot per value (the VJP reads every activation after the whole
+  // forward has run), then the pre-normalization outputs.  The adjoint
+  // scratch of vjp() reuses the value layout and appends two block-sized
+  // planes for the activation and normalization adjoints.
+  std::size_t top = 0;
+  for (ValueSpec& v : values_) {
+    if (v.external) continue;
+    v.saved_offset = top;
+    top += aligned_floats(v.channels, v.height, v.width);
+  }
+  saved_value_floats_ = top;
+  for (Node& node : nodes_) {
+    const ValueSpec& out = values_[node.out];
+    if (node.kind == Node::Kind::kConvBlock) {
+      const std::size_t floats =
+          aligned_floats(out.channels, out.height, out.width);
+      if (floats > max_block_floats_) max_block_floats_ = floats;
+      if (node.conv.groups > 0) {
+        node.saved_prenorm = top;
+        top += floats;
+        node.saved_stats = saved_stats_;
+        saved_stats_ += 2 * static_cast<std::size_t>(node.conv.groups);
+      }
+    } else if (node.kind == Node::Kind::kMaxPool) {
+      node.saved_argmax = saved_argmax_;
+      saved_argmax_ += static_cast<std::size_t>(out.channels) *
+                       static_cast<std::size_t>(out.height) *
+                       static_cast<std::size_t>(out.width);
+    }
+  }
+  saved_floats_ = top;
 }
 
 void InferenceSession::prepack_weights() {
@@ -315,7 +350,6 @@ void InferenceSession::run(const float* input, float* output,
            batch);
   NF_CHECK(input != nullptr && output != nullptr,
            "InferenceSession::run: null buffer");
-  NF_TRACE_SPAN("nn.infer_run");
   NF_GAUGE_SET("infer.batch", batch);
   NF_COUNTER_ADD("infer.samples", batch);
   if (batch > 1) NF_COUNTER_ADD("infer.batched_runs", 1);
@@ -337,8 +371,28 @@ void InferenceSession::run(const float* input, float* output,
     NF_GAUGE_SET("infer.arena_high_water_bytes",
                  static_cast<double>(need * sizeof(float)));
   }
-  float* arena = tls_arena.ensure(need);
+  execute(input, output, batch, tls_arena.ensure(need), nullptr);
+}
 
+void InferenceSession::run_saving(const float* input, float* output,
+                                  SavedActivations& saved) const {
+  NF_CHECK(input != nullptr && output != nullptr,
+           "InferenceSession::run_saving: null buffer");
+  NF_COUNTER_ADD("infer.samples", 1);
+  saved.values.ensure(saved_floats_);
+  saved.stats.ensure(saved_stats_);
+  saved.argmax.ensure(saved_argmax_);
+  execute(input, output, 1, nullptr, &saved);
+}
+
+void InferenceSession::execute(const float* input, float* output, int batch,
+                               float* arena, SavedActivations* saved) const {
+  NF_TRACE_SPAN("nn.infer_run");
+  float* values = saved != nullptr ? saved->values.data() : nullptr;
+  const auto at = [&](int vid) -> float* {
+    return saved != nullptr ? values + values_[vid].saved_offset
+                            : value_ptr(vid, arena, batch);
+  };
   Backend& be = backend();
   // Panels belong to the backend that packed them; after a backend swap the
   // session silently falls back to the pack-per-call path (same results).
@@ -346,51 +400,62 @@ void InferenceSession::run(const float* input, float* output,
       (&be == pack_backend_) ? packed_weights_.data() : nullptr;
   for (const Node& node : nodes_) {
     const ValueSpec& in_spec = values_[node.in0];
-    const float* in0 = in_spec.external
-                           ? input
-                           : value_ptr(node.in0, arena, batch);
-    float* out = value_ptr(node.out, arena, batch);
+    const float* in0 = in_spec.external ? input : at(node.in0);
+    float* out = at(node.out);
     switch (node.kind) {
       case Node::Kind::kConvBlock: {
-        Conv2dGeom g = node.conv.geom;
+        const ConvBlockSpec& c = node.conv;
+        Conv2dGeom g = c.geom;
         g.batch = batch;
-        if (fuse_) {
-          const float* pw = (packs != nullptr && node.conv.packed_offset >= 0)
-                                ? packs + node.conv.packed_offset
-                                : nullptr;
-          be.conv2d_gn_act_fwd_packed(g, node.conv.groups, node.conv.eps,
-                                      node.conv.act, node.conv.slope, in0,
-                                      node.conv.weight, pw, node.conv.bias,
-                                      node.conv.gamma, node.conv.beta, out);
-        } else {
-          be.conv2d_fwd(g, in0, node.conv.weight, node.conv.bias, out);
-          const std::int64_t numel = static_cast<std::int64_t>(batch) *
-                                     g.out_channels * g.out_height *
-                                     g.out_width;
-          if (node.conv.groups > 0) {
-            GroupNormGeom ng;
-            ng.batch = batch;
-            ng.channels = g.out_channels;
-            ng.height = g.out_height;
-            ng.width = g.out_width;
-            ng.groups = node.conv.groups;
-            ng.eps = node.conv.eps;
-            be.group_norm_fwd(ng, out, node.conv.gamma, node.conv.beta, out,
-                              nullptr, nullptr);
-          }
-          if (node.conv.act == ActKind::kRelu) {
-            be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
-          } else if (node.conv.act == ActKind::kLeakyRelu) {
-            be.unary_map(UnaryKind::kLeakyRelu, node.conv.slope, out, out,
-                         numel);
-          }
+        const float* pw = (packs != nullptr && c.packed_offset >= 0)
+                              ? packs + c.packed_offset
+                              : nullptr;
+        const bool keep_norm_input = saved != nullptr && c.groups > 0;
+        if (fuse_ && !keep_norm_input) {
+          be.conv2d_gn_act_fwd_packed(g, c.groups, c.eps, c.act, c.slope, in0,
+                                      c.weight, pw, c.bias, c.gamma, c.beta,
+                                      out);
+          break;
         }
+        // The unfused chain, bitwise equal to the fused kernel: the
+        // fusion-free reference (fuse = false), and a recorded normalized
+        // block, whose adjoint needs the group norm's input and statistics
+        // that the fused kernel never materializes.
+        float* conv_out = keep_norm_input ? values + node.saved_prenorm : out;
+        double* stats =
+            keep_norm_input ? saved->stats.data() + node.saved_stats : nullptr;
+        if (fuse_)
+          be.conv2d_gn_act_fwd_packed(g, 0, c.eps, ActKind::kNone, 0.0f, in0,
+                                      c.weight, pw, c.bias, nullptr, nullptr,
+                                      conv_out);
+        else
+          be.conv2d_fwd(g, in0, c.weight, c.bias, conv_out);
+        if (c.groups > 0) {
+          GroupNormGeom ng;
+          ng.batch = batch;
+          ng.channels = g.out_channels;
+          ng.height = g.out_height;
+          ng.width = g.out_width;
+          ng.groups = c.groups;
+          ng.eps = c.eps;
+          be.group_norm_fwd(ng, conv_out, c.gamma, c.beta, out, stats,
+                            stats != nullptr ? stats + c.groups : nullptr);
+        }
+        const std::int64_t numel = static_cast<std::int64_t>(batch) *
+                                   g.out_channels * g.out_height *
+                                   g.out_width;
+        if (c.act == ActKind::kRelu)
+          be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+        else if (c.act == ActKind::kLeakyRelu)
+          be.unary_map(UnaryKind::kLeakyRelu, c.slope, out, out, numel);
         break;
       }
       case Node::Kind::kMaxPool:
         be.maxpool2x2_fwd(
             static_cast<std::int64_t>(batch) * in_spec.channels,
-            in_spec.height, in_spec.width, in0, out, nullptr);
+            in_spec.height, in_spec.width, in0, out,
+            saved != nullptr ? saved->argmax.data() + node.saved_argmax
+                             : nullptr);
         break;
       case Node::Kind::kUpsample:
         be.upsample2x_fwd(static_cast<std::int64_t>(batch) * in_spec.channels,
@@ -398,9 +463,7 @@ void InferenceSession::run(const float* input, float* output,
         break;
       case Node::Kind::kConcat: {
         const ValueSpec& b_spec = values_[node.in1];
-        const float* in1 = b_spec.external
-                               ? input
-                               : value_ptr(node.in1, arena, batch);
+        const float* in1 = b_spec.external ? input : at(node.in1);
         be.concat_channels_fwd(
             batch, in_spec.channels, b_spec.channels,
             static_cast<std::int64_t>(in_spec.height) * in_spec.width, in0,
@@ -414,8 +477,109 @@ void InferenceSession::run(const float* input, float* output,
   const std::size_t out_floats = static_cast<std::size_t>(batch) *
                                  static_cast<std::size_t>(out_spec.channels) *
                                  out_spec.height * out_spec.width;
-  std::memcpy(output, value_ptr(out_value_, arena, batch),
-              out_floats * sizeof(float));
+  std::memcpy(output, at(out_value_), out_floats * sizeof(float));
+}
+
+void InferenceSession::vjp(const SavedActivations& saved,
+                           const float* d_output, float* d_input) const {
+  NF_CHECK(d_output != nullptr && d_input != nullptr,
+           "InferenceSession::vjp: null buffer");
+  NF_TRACE_SPAN("nn.infer_vjp");
+  // Per-thread adjoint scratch: one slot per value (the saved layout), then
+  // the activation and normalization adjoints of the block in flight.  All
+  // value adjoints start at zero and every consumer accumulates into them,
+  // exactly as the tape's grad buffers do — including the +0 a zero-seeded
+  // accumulation gives a -0 contribution.
+  static thread_local AlignedBuffer<float> tls_adjoint;
+  float* adj =
+      tls_adjoint.ensure(saved_value_floats_ + 2 * max_block_floats_);
+  std::memset(adj, 0, saved_value_floats_ * sizeof(float));
+  float* d_act = adj + saved_value_floats_;
+  float* d_pre = d_act + max_block_floats_;
+  const std::size_t in_floats = static_cast<std::size_t>(in_channels_) *
+                                static_cast<std::size_t>(height_) * width_;
+  std::memset(d_input, 0, in_floats * sizeof(float));
+  const auto adj_of = [&](int vid) -> float* {
+    return values_[vid].external ? d_input : adj + values_[vid].saved_offset;
+  };
+  const auto value_of = [&](int vid) -> const float* {
+    return saved.values.data() + values_[vid].saved_offset;
+  };
+  const ValueSpec& out_spec = values_[out_value_];
+  std::memcpy(adj_of(out_value_), d_output,
+              static_cast<std::size_t>(out_spec.channels) * out_spec.height *
+                  out_spec.width * sizeof(float));
+
+  Backend& be = backend();
+  // Reverse node order is a reverse topological order of the graph.  The
+  // only values with two consumers are the encoder skips (pool, concat);
+  // their adjoint is the sum of two contributions onto zero, which is
+  // order-independent in IEEE arithmetic — the later consumer (concat)
+  // still goes first, as on the tape.
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    const Node& node = *it;
+    const ValueSpec& in_spec = values_[node.in0];
+    const float* dy = adj_of(node.out);
+    switch (node.kind) {
+      case Node::Kind::kConvBlock: {
+        const ConvBlockSpec& c = node.conv;
+        const Conv2dGeom& g = c.geom;  // compiled at batch 1
+        const std::size_t numel = static_cast<std::size_t>(g.out_channels) *
+                                  g.out_height * g.out_width;
+        NF_CHECK(c.act != ActKind::kLeakyRelu,
+                 "InferenceSession::vjp: leaky ReLU blocks unsupported");
+        if (c.act == ActKind::kRelu) {
+          // ReLU's mask from its output: y > 0 exactly when the input was.
+          const float* y = value_of(node.out);
+          for (std::size_t i = 0; i < numel; ++i)
+            d_act[i] = 0.0f + dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+          dy = d_act;
+        }
+        if (c.groups > 0) {
+          GroupNormGeom ng;
+          ng.batch = 1;
+          ng.channels = g.out_channels;
+          ng.height = g.out_height;
+          ng.width = g.out_width;
+          ng.groups = c.groups;
+          ng.eps = c.eps;
+          const double* stats = saved.stats.data() + node.saved_stats;
+          std::memset(d_pre, 0, numel * sizeof(float));
+          be.group_norm_bwd(ng, saved.values.data() + node.saved_prenorm,
+                            stats, stats + c.groups, c.gamma, dy, d_pre,
+                            nullptr, nullptr);
+          dy = d_pre;
+        }
+        be.conv2d_bwd(g, nullptr, c.weight, dy, adj_of(node.in0), nullptr,
+                      nullptr);
+        break;
+      }
+      case Node::Kind::kMaxPool: {
+        const ValueSpec& out = values_[node.out];
+        be.maxpool2x2_bwd(static_cast<std::int64_t>(out.channels) *
+                              out.height * out.width,
+                          saved.argmax.data() + node.saved_argmax, dy,
+                          adj_of(node.in0));
+        break;
+      }
+      case Node::Kind::kUpsample:
+        be.upsample2x_bwd(in_spec.channels, in_spec.height, in_spec.width, dy,
+                          adj_of(node.in0));
+        break;
+      case Node::Kind::kConcat: {
+        const ValueSpec& b_spec = values_[node.in1];
+        const std::size_t plane =
+            static_cast<std::size_t>(in_spec.height) * in_spec.width;
+        const std::size_t na = static_cast<std::size_t>(in_spec.channels) * plane;
+        const std::size_t nb = static_cast<std::size_t>(b_spec.channels) * plane;
+        float* da = adj_of(node.in0);
+        for (std::size_t i = 0; i < na; ++i) da[i] += dy[i];
+        float* db = adj_of(node.in1);
+        for (std::size_t i = 0; i < nb; ++i) db[i] += dy[na + i];
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace neurfill::nn

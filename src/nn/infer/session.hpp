@@ -66,6 +66,36 @@ class InferenceSession {
   /// no allocation: the arena is a grow-only thread_local buffer.
   void run(const float* input, float* output, int batch = 1) const;
 
+  /// What run_saving() keeps for vjp(): every node value, the
+  /// pre-normalization conv output and group statistics of each normalized
+  /// block, and the argmax indices of each pool.  Caller-owned, so several
+  /// passes can be pending at once (one per surrogate layer) and concurrent
+  /// callers never share one; grow-only, so reuse allocates nothing.
+  struct SavedActivations {
+    AlignedBuffer<float> values;
+    AlignedBuffer<double> stats;
+    AlignedBuffer<std::int64_t> argmax;
+  };
+
+  /// Batch-1 run() that also records `saved` for a later vjp().  `output`
+  /// is bitwise identical to run()'s: normalized blocks execute as the
+  /// unfused conv -> group_norm -> activation chain, which the fused kernel
+  /// is pinned equal to.
+  void run_saving(const float* input, float* output,
+                  SavedActivations& saved) const;
+
+  /// Vector-Jacobian product with respect to the input, weights held
+  /// constant: writes d_input = (d output / d input)^T d_output for the
+  /// pass recorded in `saved` (in_channels x H x W floats, overwritten).
+  /// Walks the graph in reverse through the data-gradient convolution (no
+  /// weight or bias gradients), group-norm, ReLU, pool, upsample and concat
+  /// adjoints, accumulating each value's adjoint in the order the autograd
+  /// tape does — so d_input is bitwise identical to the tape's input
+  /// gradient, at any thread count (pinned by tests/test_inference.cpp).
+  /// Thread-safe; steady state allocates nothing.
+  void vjp(const SavedActivations& saved, const float* d_output,
+           float* d_input) const;
+
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
   int height() const { return height_; }
@@ -81,6 +111,9 @@ class InferenceSession {
     int width = 0;
     bool external = false;    ///< the session input, not arena-backed
     std::size_t offset = 0;   ///< per-sample float offset into the arena
+    /// Private float offset in SavedActivations::values, and of the value's
+    /// adjoint in the VJP scratch (same layout).
+    std::size_t saved_offset = 0;
   };
 
   struct ConvBlockSpec {
@@ -105,14 +138,26 @@ class InferenceSession {
     int in1 = -1;  ///< kConcat only (second operand)
     int out = -1;
     ConvBlockSpec conv;  ///< kConvBlock only
+    /// SavedActivations offsets: the pre-normalization output (floats) and
+    /// the mean/istd pairs (doubles) of a normalized kConvBlock, or the
+    /// argmax indices of a kMaxPool.
+    std::size_t saved_prenorm = 0;
+    std::size_t saved_stats = 0;
+    std::size_t saved_argmax = 0;
   };
 
   int add_value(int channels, int height, int width);
   int add_conv_block(const void* conv_module, const void* norm_module,
                      ActKind act, int in_id);
   void plan_arena(bool reuse);
+  void plan_saved();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
+  /// Runs the node list.  Without `saved`, values live in the arena at
+  /// batch `batch`; with it (batch 1), every value gets its private slot in
+  /// saved->values and the backward operands are recorded alongside.
+  void execute(const float* input, float* output, int batch, float* arena,
+               SavedActivations* saved) const;
 
   std::vector<ValueSpec> values_;
   std::vector<Node> nodes_;
@@ -124,6 +169,11 @@ class InferenceSession {
   AlignedBuffer<float> packed_weights_;
   Backend* pack_backend_ = nullptr;  ///< backend the panels were packed on
   std::size_t arena_floats_ = 0;
+  std::size_t saved_value_floats_ = 0;  ///< values part of the saved layout
+  std::size_t saved_floats_ = 0;        ///< + pre-normalization outputs
+  std::size_t saved_stats_ = 0;
+  std::size_t saved_argmax_ = 0;
+  std::size_t max_block_floats_ = 0;    ///< largest conv block output
   int out_value_ = -1;
   int in_channels_ = 0;
   int out_channels_ = 0;

@@ -142,10 +142,8 @@ Tensor maxpool2x2(const Tensor& x) {
   backend().maxpool2x2_fwd(static_cast<std::int64_t>(N) * C, H, W, x.data(),
                            out.data(), indices->data());
   Tensor::attach_backward(out, {x}, [x, out = out.impl().get(), indices]() mutable {
-    const float* go = out->grad.data();
-    float* gx = x.grad();
-    for (std::size_t i = 0; i < indices->size(); ++i)
-      gx[(*indices)[i]] += go[i];
+    backend().maxpool2x2_bwd(static_cast<std::int64_t>(indices->size()),
+                             indices->data(), out->grad.data(), x.grad());
   });
   return out;
 }
@@ -158,17 +156,8 @@ Tensor upsample_nearest2x(const Tensor& x) {
   backend().upsample2x_fwd(static_cast<std::int64_t>(N) * C, H, W, x.data(),
                            out.data());
   Tensor::attach_backward(out, {x}, [x, out = out.impl().get(), N, C, H, W]() mutable {
-    const float* go = out->grad.data();
-    float* gx = x.grad();
-    for (int nc = 0; nc < N * C; ++nc) {
-      const float* gp = go + static_cast<std::int64_t>(nc) * 4 * H * W;
-      float* sp = gx + static_cast<std::int64_t>(nc) * H * W;
-      for (int i = 0; i < H; ++i)
-        for (int j = 0; j < W; ++j) {
-          const std::int64_t b = static_cast<std::int64_t>(2 * i) * 2 * W + 2 * j;
-          sp[i * W + j] += gp[b] + gp[b + 1] + gp[b + 2 * W] + gp[b + 2 * W + 1];
-        }
-    }
+    backend().upsample2x_bwd(static_cast<std::int64_t>(N) * C, H, W,
+                             out->grad.data(), x.grad());
   });
   return out;
 }
@@ -182,8 +171,6 @@ Tensor group_norm(const Tensor& x, int groups, const Tensor& gamma,
   if (gamma.ndim() != 1 || gamma.dim(0) != C || beta.ndim() != 1 ||
       beta.dim(0) != C)
     throw std::invalid_argument("group_norm: gamma/beta must be (C)");
-  const int cpg = C / groups;
-  const std::int64_t gsize = static_cast<std::int64_t>(cpg) * H * W;
   Tensor out(x.shape());
   auto mean_v = std::make_shared<std::vector<double>>(
       static_cast<std::size_t>(N) * groups);
@@ -200,58 +187,12 @@ Tensor group_norm(const Tensor& x, int groups, const Tensor& gamma,
                            out.data(), mean_v->data(), istd_v->data());
   Tensor::attach_backward(
       out, {x, gamma, beta},
-      [x, gamma, beta, out = out.impl().get(), N, C, H, W, groups, cpg, gsize, mean_v,
-       istd_v]() mutable {
-        const float* go = out->grad.data();
-        const float* pxg = x.data();
-        for (int n = 0; n < N; ++n) {
-          for (int g = 0; g < groups; ++g) {
-            const double m = (*mean_v)[static_cast<std::size_t>(n * groups + g)];
-            const double istd = (*istd_v)[static_cast<std::size_t>(n * groups + g)];
-            const float* xb =
-                pxg + (static_cast<std::int64_t>(n) * C + g * cpg) * H * W;
-            const float* gb =
-                go + (static_cast<std::int64_t>(n) * C + g * cpg) * H * W;
-            // dgamma/dbeta, plus the two group-wide sums needed for dx.
-            double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
-            for (int c = 0; c < cpg; ++c) {
-              const double gm = gamma.data()[g * cpg + c];
-              const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
-              const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
-              double dg = 0.0, db = 0.0;
-              for (int i = 0; i < H * W; ++i) {
-                const double xhat = (static_cast<double>(xc[i]) - m) * istd;
-                const double dxhat = static_cast<double>(gc[i]) * gm;
-                sum_dxhat += dxhat;
-                sum_dxhat_xhat += dxhat * xhat;
-                dg += static_cast<double>(gc[i]) * xhat;
-                db += static_cast<double>(gc[i]);
-              }
-              if (gamma.requires_grad())
-                gamma.grad()[g * cpg + c] += static_cast<float>(dg);
-              if (beta.requires_grad())
-                beta.grad()[g * cpg + c] += static_cast<float>(db);
-            }
-            if (x.requires_grad()) {
-              float* gx = x.grad() +
-                          (static_cast<std::int64_t>(n) * C + g * cpg) * H * W;
-              const double inv_n = 1.0 / static_cast<double>(gsize);
-              for (int c = 0; c < cpg; ++c) {
-                const double gm = gamma.data()[g * cpg + c];
-                const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
-                const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
-                float* gxc = gx + static_cast<std::int64_t>(c) * H * W;
-                for (int i = 0; i < H * W; ++i) {
-                  const double xhat = (static_cast<double>(xc[i]) - m) * istd;
-                  const double dxhat = static_cast<double>(gc[i]) * gm;
-                  gxc[i] += static_cast<float>(
-                      istd * (dxhat - inv_n * sum_dxhat -
-                              xhat * inv_n * sum_dxhat_xhat));
-                }
-              }
-            }
-          }
-        }
+      [x, gamma, beta, out = out.impl().get(), geom, mean_v, istd_v]() mutable {
+        backend().group_norm_bwd(
+            geom, x.data(), mean_v->data(), istd_v->data(), gamma.data(),
+            out->grad.data(), x.requires_grad() ? x.grad() : nullptr,
+            gamma.requires_grad() ? gamma.grad() : nullptr,
+            beta.requires_grad() ? beta.grad() : nullptr);
       });
   return out;
 }

@@ -127,6 +127,7 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
   VecD trial(n), s(n), y(n);
   double fx = std::numeric_limits<double>::infinity();
   int start_it = 0;
+  bool full_step_gradient = true;  // see the call schedule in sqp.hpp
 
   // The objective may run the reference simulator, whose deadline raises
   // ErrorException(kDeadlineExceeded) mid-evaluation.  res.x always holds
@@ -144,6 +145,7 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       start_it = st.iteration;
       res.iterations = st.iteration;
       res.function_evaluations = st.function_evaluations;
+      full_step_gradient = st.full_step_gradient;
       hessian.restore_state(st.lbfgs_sigma, st.lbfgs_pairs);
     } else {
       fx = eval(res.x, &g);
@@ -169,6 +171,7 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       st.f = fx;
       st.iteration = it;
       st.function_evaluations = res.function_evaluations;
+      st.full_step_gradient = full_step_gradient;
       hessian.export_state(&st.lbfgs_sigma, &st.lbfgs_pairs);
       options.checkpoint_hook(st);
     }
@@ -214,20 +217,26 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       break;
     }
 
-    // Armijo backtracking along the (feasible) SQP direction.
+    // Armijo backtracking along the (feasible) SQP direction; the full step
+    // carries its gradient when the last one was accepted (sqp.hpp).
     double alpha = 1.0;
     double f_trial = fx;
     bool accepted = false;
+    bool have_gradient = false;
     for (int ls = 0; ls < options.max_line_search; ++ls) {
       for (std::size_t i = 0; i < n; ++i) trial[i] = res.x[i] + alpha * d[i];
       box.clamp(trial);  // guard rounding
-      f_trial = eval(trial, nullptr);
+      const bool with_gradient =
+          ls == 0 && full_step_gradient && options.cheap_gradient;
+      f_trial = eval(trial, with_gradient ? &g_new : nullptr);
       // A NaN trial value fails the Armijo comparison below, so a poisoned
       // line-search evaluation already degrades to "shrink and retry" —
       // just account for it.
       if (!std::isfinite(f_trial)) ++res.numeric_recoveries;
       if (f_trial <= fx + options.armijo_c1 * alpha * gd) {
         accepted = true;
+        have_gradient = with_gradient;
+        full_step_gradient = ls == 0;
         break;
       }
       alpha *= 0.5;
@@ -235,7 +244,7 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
     if (!accepted) break;  // line search failed: stationary to our accuracy
 
     const double f_old = fx;
-    double f_new = eval(trial, &g_new);
+    double f_new = have_gradient ? f_trial : eval(trial, &g_new);
     NF_CHECK(g_new.size() == n, "sqp: gradient size %zu, expected %zu",
              g_new.size(), n);
     // Poisoned value/gradient mid-run: back off toward the last accepted

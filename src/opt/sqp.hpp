@@ -63,6 +63,11 @@ struct SqpState {
   int function_evaluations = 0;
   double lbfgs_sigma = 1.0;
   std::vector<std::pair<VecD, VecD>> lbfgs_pairs;  ///< raw (s, y) history
+  /// Whether iteration `iteration` asks for the gradient together with its
+  /// full-step value when SqpOptions::cheap_gradient is set (the previous
+  /// iteration accepted its full step, or it is the first); see
+  /// sqp_minimize.
+  bool full_step_gradient = true;
 };
 
 struct SqpOptions {
@@ -79,6 +84,11 @@ struct SqpOptions {
   /// When non-null, skip the initial evaluation and continue from this
   /// state (borrowed; must outlive the call).
   const SqpState* resume = nullptr;
+  /// The objective's gradient costs about as much as a value call (an
+  /// adjoint pass).  Enables the full-step gradient schedule of
+  /// sqp_minimize; an objective with finite-difference gradients (n + 1
+  /// value calls each) clears it, so no gradient is ever discarded.
+  bool cheap_gradient = true;
 };
 
 struct SqpResult {
@@ -101,6 +111,18 @@ struct SqpResult {
 /// the shifted box (the QP subproblem, Eq. 5d being the only constraints),
 /// followed by an Armijo backtracking line search.  Minimizes f; callers
 /// maximizing a score pass its negation.
+///
+/// Call schedule: with options.cheap_gradient, the line search evaluates
+/// the full step (alpha = 1) together with its gradient when the previous
+/// iteration accepted its own full step (and on the first iteration); if
+/// the full step is accepted again, that one call supplies the new
+/// iterate's value and gradient.  Otherwise trial steps are value-only and
+/// the accepted point is re-evaluated with its gradient.  A run whose full
+/// steps are accepted thus costs one objective call per iteration, and a
+/// rejected full step wastes one gradient.  Without cheap_gradient every
+/// trial is value-only (two calls per iteration).  The iterates do not
+/// depend on the schedule: f(x, &g) must return the same value as
+/// f(x, nullptr).
 SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
                        const SqpOptions& options = SqpOptions());
 

@@ -101,7 +101,6 @@ std::size_t JobRunner::surrogate_cache_size() const {
     opt.grid_cols = ext.cols;
     train_surrogate(*surrogate, gen, opt);
   }
-  surrogate->set_fast_inference(opts_.fast_inference);
   std::lock_guard<std::mutex> lock(cache_m_);
   cache_[key] = CachedSurrogate{mtime, size, hash, surrogate};
   return surrogate;

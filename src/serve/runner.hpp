@@ -42,7 +42,6 @@ namespace neurfill::serve {
 struct RunnerOptions {
   /// Surrogate weight prefix used when a job does not name one.
   std::string default_surrogate = "data/unet_cmp";
-  bool fast_inference = true;
   int snapshot_every = 1;  ///< SQP iterations between mid-start snapshots
   /// Optimization budget overrides, 0 = library default.  Tests and the
   /// serve bench shrink these so a job takes milliseconds, not minutes.

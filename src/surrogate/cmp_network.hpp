@@ -12,7 +12,8 @@
 
 namespace neurfill {
 
-class SurrogateInference;  // surrogate/infer.hpp (tape-free fast path)
+class SurrogateInference;  // surrogate/infer.hpp
+struct SurrogateRecord;
 
 /// Configuration of the trained surrogate artifact.
 struct SurrogateConfig {
@@ -65,19 +66,9 @@ class CmpSurrogate {
   /// planes from simulator labels.
   nn::Tensor incoming_from_height(const nn::Tensor& height_ang) const;
 
-  /// Whether no-gradient consumers (CmpNetwork's evaluate/predict paths,
-  /// surrogate accuracy eval, the tools) should run through the
-  /// graph-compiled InferenceSession fast path (docs/inference.md) instead
-  /// of the autograd tape.  On by default; the tools' --no-fast-inference
-  /// flag clears it.  Both paths produce bitwise-identical results — this
-  /// switch exists for diagnosis and benchmarking, not accuracy.
-  void set_fast_inference(bool enabled) { fast_inference_ = enabled; }
-  bool fast_inference_enabled() const { return fast_inference_; }
-
  private:
   SurrogateConfig config_;
   std::shared_ptr<nn::UNet> unet_;
-  bool fast_inference_ = true;
 };
 
 /// Saves/loads the surrogate as <path>.meta (text config) + <path>.weights
@@ -94,7 +85,12 @@ class CmpSurrogate {
 /// coefficient set: extraction layer -> pre-trained UNet -> objective layers
 /// (Eqs. 10a-c) -> merging layer (Eq. 5b).  evaluate() runs the forward pass
 /// for S_plan and, when requested, one backward propagation for
-/// grad(S_plan) (Eq. 11) — the paper's 8134x-speedup path.
+/// grad(S_plan) (Eq. 11) — the paper's 8134x-speedup path.  Both run
+/// tape-free through the compiled SurrogateInference session; the values
+/// and gradients are bitwise identical to the autograd formulation of the
+/// same network (CmpSurrogate::forward_heights + nn ops), which stays the
+/// test oracle.  Const members are thread-safe: no evaluation writes
+/// shared state (in particular, no parameter gradient buffers).
 class CmpNetwork {
  public:
   CmpNetwork(std::shared_ptr<const CmpSurrogate> surrogate,
@@ -110,6 +106,9 @@ class CmpNetwork {
     std::vector<GridD> grad;     ///< d S_plan / d x, filled when requested
   };
 
+  /// S_plan and its relaxed terms at fill `x`; with `with_grad`, also
+  /// d S_plan / d x from one session VJP per layer.  The value fields are
+  /// bitwise identical with and without the gradient.
   Eval evaluate(const std::vector<GridD>& x, bool with_grad) const;
 
   /// Value-only evaluation of B candidate fill solutions in one call: the
@@ -117,10 +116,8 @@ class CmpNetwork {
   /// layer and the UNet runs a single batched session forward, then the
   /// objective terms (Eqs. 10a-c) fan back out per candidate.  Each
   /// returned Eval (gradients never filled) is byte-identical to
-  /// evaluate(xs[b], false) — and therefore to the autograd path — at any
-  /// thread count, so batched and serial evaluations mix freely inside one
-  /// optimization.  Falls back to per-candidate evaluation when the fast
-  /// path is disabled.
+  /// evaluate(xs[b], false) at any thread count, so batched and serial
+  /// evaluations mix freely inside one optimization.
   std::vector<Eval> evaluate_batch(const std::vector<std::vector<GridD>>& xs) const;
 
   /// Predicted heights only (a cheap forward; used by quality callbacks).
@@ -152,26 +149,42 @@ class CmpNetwork {
   std::size_t num_layers() const { return static_.size(); }
 
  private:
-  nn::Tensor make_fill_tensor(const GridD& x, bool requires_grad) const;
-  /// Tape-free evaluate: SurrogateInference heights + flat-plane objective
-  /// arithmetic replicating the autograd metric pipeline float-op-by-
-  /// float-op; bitwise equal to the autograd value (the SQP line search
-  /// mixes the two paths, so "within tolerance" would not be enough).
-  Eval evaluate_fast(const std::vector<GridD>& x) const;
-  /// Objective terms + merge from one candidate's predicted height planes
-  /// (the post-inference half of evaluate_fast); thread-safe (per-thread
-  /// scratch) so evaluate_batch can score candidates concurrently.
-  Eval score_height_planes(const std::vector<std::vector<float>>& heights) const;
+  /// Forward values of one layer's objective terms that the gradient
+  /// reuses: mean height, the three Eq. 10a-c sums, sqrt(var + 1e-6), the
+  /// outlier threshold, and the per-column means of the line deviation.
+  struct LayerTerms {
+    float mean_h = 0.0f;
+    float var = 0.0f;
+    float star = 0.0f;
+    float outliers = 0.0f;
+    float sig = 0.0f;
+    float threshold = 0.0f;
+    std::vector<float> col_mean;
+  };
+  /// Objective terms (Eqs. 10a-c), calibration and merge (Eq. 5b) from one
+  /// candidate's predicted height planes, in flat-plane arithmetic whose
+  /// every float operation matches the autograd formulation; thread-safe
+  /// (per-thread scratch) so evaluate_batch can score candidates
+  /// concurrently.  `terms`, when non-null, receives the per-layer values
+  /// the gradient needs.
+  Eval score_height_planes(const std::vector<std::vector<float>>& heights,
+                           std::vector<LayerTerms>* terms = nullptr) const;
+  /// Fills out.grad: the merge, calibration and Eq. 10a-c adjoints, then
+  /// SurrogateInference::layer_vjp top layer first, interleaved exactly as
+  /// the autograd tape orders the contributions to each height adjoint.
+  void add_gradient(const std::vector<std::vector<float>>& heights,
+                    const std::vector<LayerTerms>& terms,
+                    const SurrogateRecord& record, Eval& out) const;
 
   std::shared_ptr<const CmpSurrogate> surrogate_;
   std::vector<StaticLayerFeatures> static_;
   ScoreCoefficients coeffs_;
   std::size_t rows_ = 0, cols_ = 0;
   MetricCalibration cal_sigma_, cal_sigma_star_, cal_ol_;
-  /// Compiled fast path; null when disabled.  Shared through the process-
-  /// wide session cache (surrogate/infer.hpp), so tile solves over the same
-  /// surrogate and plane size reuse one compiled session.
-  std::shared_ptr<const SurrogateInference> fast_;
+  /// Compiled surrogate, shared through the process-wide session cache
+  /// (surrogate/infer.hpp), so tile solves over the same surrogate and
+  /// plane size reuse one compiled session.
+  std::shared_ptr<const SurrogateInference> infer_;
 };
 
 }  // namespace neurfill

@@ -9,38 +9,6 @@
 
 namespace neurfill {
 
-namespace {
-
-/// Predicted padded height planes for one sample, through the tape-free
-/// InferenceSession when the surrogate allows it (the default) or the
-/// autograd module path otherwise (--no-fast-inference diagnosis).  Both
-/// produce bitwise-identical planes.
-std::vector<std::vector<float>> predict_sample_heights(
-    const CmpSurrogate& surrogate, SurrogateInference* fast,
-    const std::vector<StaticLayerFeatures>& feats,
-    const std::vector<std::vector<float>>& fill_planes) {
-  std::vector<std::vector<float>> pred;
-  if (fast != nullptr) {
-    std::vector<const float*> fill_ptrs;
-    fill_ptrs.reserve(fill_planes.size());
-    for (const auto& p : fill_planes) fill_ptrs.push_back(p.data());
-    fast->predict_heights(feats, fill_ptrs, pred);
-    return pred;
-  }
-  const int pr = feats[0].padded_rows, pc = feats[0].padded_cols;
-  std::vector<nn::Tensor> fills;
-  fills.reserve(fill_planes.size());
-  for (const auto& p : fill_planes)
-    fills.push_back(nn::Tensor::from_data({1, 1, pr, pc}, p));
-  const auto tensors = surrogate.forward_heights(feats, fills);
-  pred.reserve(tensors.size());
-  for (const auto& t : tensors)
-    pred.emplace_back(t.data(), t.data() + t.numel());
-  return pred;
-}
-
-}  // namespace
-
 AccuracyReport evaluate_surrogate_accuracy(const CmpSurrogate& surrogate,
                                            TrainingDataGenerator& datagen,
                                            int num_samples,
@@ -61,13 +29,13 @@ AccuracyReport evaluate_surrogate_accuracy(const CmpSurrogate& surrogate,
   std::size_t total_count = 0;
 
   const int divisor = 1 << surrogate.config().unet.depth;
-  std::unique_ptr<SurrogateInference> fast;  // compiled on the first sample
+  std::unique_ptr<SurrogateInference> infer;  // compiled on the first sample
   for (int s = 0; s < num_samples; ++s) {
     const TrainingSample sample = datagen.generate(grid_rows, grid_cols);
     const auto feats =
         build_static_features(sample.ext, surrogate.config().features, divisor);
-    if (surrogate.fast_inference_enabled() && !fast)
-      fast = std::make_unique<SurrogateInference>(
+    if (!infer)
+      infer = std::make_unique<SurrogateInference>(
           surrogate, feats[0].padded_rows, feats[0].padded_cols);
     std::vector<std::vector<float>> fill_planes(sample.fill.size());
     for (std::size_t l = 0; l < sample.fill.size(); ++l) {
@@ -78,8 +46,11 @@ AccuracyReport evaluate_surrogate_accuracy(const CmpSurrogate& surrogate,
           fill_planes[l][i * static_cast<std::size_t>(pc) + j] =
               static_cast<float>(sample.fill[l](i, j));
     }
-    const std::vector<std::vector<float>> pred =
-        predict_sample_heights(surrogate, fast.get(), feats, fill_planes);
+    std::vector<const float*> fill_ptrs;
+    fill_ptrs.reserve(fill_planes.size());
+    for (const auto& p : fill_planes) fill_ptrs.push_back(p.data());
+    std::vector<std::vector<float>> pred;
+    infer->predict_heights(feats, fill_ptrs, pred);
 
     // The surrogate predicts centered topography, so compare against the
     // centered simulator profile.  Reference magnitude: the simulated

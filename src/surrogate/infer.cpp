@@ -53,10 +53,13 @@ ExtractConsts make_consts(const FeatureConstants& fc, double topo_transfer,
 /// kernels, in the same order, as the autograd ops, so each plane is
 /// rounded identically (no re-association or fused-multiply-add
 /// differences between the paths).  `tmp` is one n-float scratch plane.
+/// When `width_terms` is non-null it receives the width channel's
+/// numerator and denominator planes (2n floats) for the adjoint.
 void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
                            const float* fill, const float* incoming,
                            float* input, float* tmp, std::size_t n,
-                           const ExtractConsts& c) {
+                           const ExtractConsts& c,
+                           float* width_terms = nullptr) {
   const std::int64_t n64 = static_cast<std::int64_t>(n);
   float* density = input;
   float* perim = input + n;
@@ -77,6 +80,10 @@ void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
   be.binary_map(nn::BinaryKind::kAdd, layer.width_blend_num.data(), width,
                 width, n64);
   be.unary_map(nn::UnaryKind::kAddScalar, 1e-3f, density, tmp, n64);
+  if (width_terms != nullptr) {
+    std::memcpy(width_terms, width, n * sizeof(float));
+    std::memcpy(width_terms + n, tmp, n * sizeof(float));
+  }
   be.binary_map(nn::BinaryKind::kDiv, width, tmp, width, n64);
   std::memcpy(chan_incoming, incoming, n * sizeof(float));
   std::memcpy(chan_slack, layer.slack.data(), n * sizeof(float));
@@ -129,7 +136,7 @@ SurrogateInference::SurrogateInference(const CmpSurrogate& surrogate,
 void SurrogateInference::predict_heights(
     const std::vector<StaticLayerFeatures>& layers,
     const std::vector<const float*>& fills,
-    std::vector<std::vector<float>>& heights) const {
+    std::vector<std::vector<float>>& heights, SurrogateRecord* record) const {
   if (layers.empty() || layers.size() != fills.size())
     throw std::invalid_argument("predict_heights: layer/fill mismatch");
   const std::size_t n =
@@ -147,6 +154,12 @@ void SurrogateInference::predict_heights(
   std::memset(incoming, 0, n * sizeof(float));  // bottom layer sees a plane
 
   heights.resize(layers.size());  // re-used capacity on repeated calls
+  float* width_terms = nullptr;
+  if (record != nullptr) {
+    if (record->layers.size() < layers.size())
+      record->layers.resize(layers.size());
+    width_terms = record->width_terms.ensure(2 * n * layers.size());
+  }
   nn::Backend& be = nn::backend();
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const StaticLayerFeatures& layer = layers[l];
@@ -154,14 +167,94 @@ void SurrogateInference::predict_heights(
              "SurrogateInference: layer %zu padded to %dx%d, session compiled "
              "for %dx%d",
              l, layer.padded_rows, layer.padded_cols, rows_, cols_);
-    assemble_input_planes(be, layer, fills[l], incoming, input, tmp, n, c);
+    assemble_input_planes(be, layer, fills[l], incoming, input, tmp, n, c,
+                          record ? width_terms + 2 * n * l : nullptr);
 
-    session_.run(input, h_norm, /*batch=*/1);
+    if (record != nullptr)
+      session_.run_saving(input, h_norm, record->layers[l]);
+    else
+      session_.run(input, h_norm, /*batch=*/1);
 
     std::vector<float>& h_ang = heights[l];
     h_ang.resize(n);
     postprocess_heights(be, h_norm, h_ang.data(),
                         l + 1 < layers.size() ? incoming : nullptr, n, c);
+  }
+}
+
+void SurrogateInference::layer_vjp(std::size_t l,
+                                   const SurrogateRecord& record,
+                                   const float* d_height, float* d_fill,
+                                   float* d_prev_height) const {
+  NF_CHECK(l < record.layers.size(), "layer_vjp: layer %zu not recorded", l);
+  NF_CHECK(l == 0 || d_prev_height != nullptr,
+           "layer_vjp: layer %zu needs the layer below's height adjoint", l);
+  const std::size_t n =
+      static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
+  const ExtractConsts c = make_consts(features_, topo_transfer_, n);
+  static thread_local AlignedBuffer<float> tls_adjoint;
+  float* d_norm = tls_adjoint.ensure((FeatureConstants::kInChannels + 1) * n);
+  float* d_input = d_norm + n;
+
+  // Each adjoint below is written as the tape computes it: a node's grad
+  // buffer starts at zero and every consumer adds its contribution, in
+  // reverse topological order.  `0.0f + v` is that first accumulation
+  // (it turns a -0 contribution into +0); scalar adjoints of broadcast
+  // operands accumulate serially in flat index order.
+
+  // h_ang = (h_norm - mean(h_norm)) * scale + offset.
+  float d_mean = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float d_scaled = 0.0f + d_height[i];
+    const float d_centered = 0.0f + d_scaled * c.height_scale;
+    d_norm[i] = 0.0f + d_centered;
+    d_mean += d_centered * -1.0f;
+  }
+  const float d_norm_sum = 0.0f + d_mean * c.inv_n;
+  for (std::size_t i = 0; i < n; ++i) d_norm[i] += d_norm_sum;
+
+  session_.vjp(record.layers[l], d_norm, d_input);
+
+  // Extraction layer.  The channel planes' adjoints arrive through the
+  // concat chain (each a zero-seeded copy); consumers run global-mean
+  // channel, incoming channel, width, then density and perimeter.
+  const float* d_density_ch = d_input;
+  const float* d_perim_ch = d_input + n;
+  const float* d_width_ch = d_input + 2 * n;
+  const float* d_incoming_ch = d_input + 3 * n;
+  const float* d_global_ch = d_input + 5 * n;
+  // Channel 5: ones * mean(density).
+  float d_global = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) d_global += 0.0f + d_global_ch[i];
+  const float d_density_sum = 0.0f + d_global * c.inv_n;
+  // Channel 3: incoming = (h_prev - mean(h_prev)) * chain_k.
+  if (l > 0) {
+    float d_prev_mean = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float d_centered = 0.0f + (0.0f + d_incoming_ch[i]) * c.chain_k;
+      d_prev_height[i] += d_centered;
+      d_prev_mean += d_centered * -1.0f;
+    }
+    const float d_prev_sum = 0.0f + d_prev_mean * c.inv_n;
+    for (std::size_t i = 0; i < n; ++i) d_prev_height[i] += d_prev_sum;
+  }
+  // Channels 2, 0, 1: width = (wnum0 + fill * wdum) / (density + 1e-3),
+  // density = rho + fill, perimeter = perim0 + fill * dperim.
+  const float* num = record.width_terms.data() + 2 * n * l;
+  const float* den = num + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float d_width = 0.0f + d_width_ch[i];
+    const float d_num = 0.0f + d_width * (1.0f / den[i]);
+    const float d_den = 0.0f + d_width * (-num[i] / (den[i] * den[i]));
+    float d_density = 0.0f + d_density_sum;
+    d_density += d_den;
+    const float d_fill_width = 0.0f + d_num;
+    float d_x = 0.0f + d_fill_width * c.wdum;
+    d_density += 0.0f + d_density_ch[i];
+    const float d_fill_perim = 0.0f + (0.0f + d_perim_ch[i]);
+    d_x += d_fill_perim * c.dperim;
+    d_x += d_density;
+    d_fill[i] = d_x;
   }
 }
 

@@ -2,11 +2,22 @@
 
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "nn/infer/session.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/features.hpp"
 
 namespace neurfill {
+
+/// What a recorded SurrogateInference::predict_heights pass keeps for
+/// layer_vjp(): per layer, the session's saved activations and the width
+/// channel's numerator and denominator planes.  Caller-owned and grow-only,
+/// like the session's SavedActivations, so one record per thread serves
+/// every evaluation.
+struct SurrogateRecord {
+  std::vector<nn::InferenceSession::SavedActivations> layers;
+  AlignedBuffer<float> width_terms;  ///< [layer][numerator|denominator][n]
+};
 
 /// Tape-free surrogate evaluation: CmpSurrogate::forward_heights without
 /// the autograd tensors.  The extraction-layer arithmetic (density /
@@ -40,10 +51,25 @@ class SurrogateInference {
   /// topography like the simulator's layer loop.  `fills[l]` is the padded
   /// fill plane (padded_rows x padded_cols, row-major); `heights` is
   /// resized to one plane per layer.  Equivalent to forward_heights with
-  /// no incoming override.
+  /// no incoming override.  With a `record`, the pass also keeps what
+  /// layer_vjp() needs (same heights).
   void predict_heights(const std::vector<StaticLayerFeatures>& layers,
                        const std::vector<const float*>& fills,
-                       std::vector<std::vector<float>>& heights) const;
+                       std::vector<std::vector<float>>& heights,
+                       SurrogateRecord* record = nullptr) const;
+
+  /// Adjoint of layer `l` of a recorded predict_heights pass, for layers
+  /// walked top first.  `d_height` is the layer's complete height adjoint
+  /// (padded plane, Angstrom).  Runs the hard-centering/denormalization
+  /// adjoint, the session VJP and the extraction-layer adjoint, writes the
+  /// fill adjoint to `d_fill` (padded plane, overwritten) and, for l > 0,
+  /// accumulates the chaining adjoint into `d_prev_height` (layer l-1's
+  /// height adjoint, which the caller completes before its own call).
+  /// Every step accumulates in the autograd tape's order, so the fill
+  /// gradient is bitwise identical to the tape's.  Thread-safe.
+  void layer_vjp(std::size_t l, const SurrogateRecord& record,
+                 const float* d_height,
+                 float* d_fill, float* d_prev_height) const;
 
   /// Batched predict_heights over B candidate fill solutions that share the
   /// static layer features: `fills[b][l]` is candidate b's padded fill

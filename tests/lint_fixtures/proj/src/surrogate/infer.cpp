@@ -1,0 +1,12 @@
+// Autograd tape API in the surrogate's tape-free layer (src/surrogate/
+// infer.*): flagged like src/nn/infer.  Its neighbours (cmp_network.cpp,
+// trainer.cpp) legitimately use the tape and are out of scope.
+
+void layer_adjoint(FakeSurrogate& s, FakeTensor& fill) {
+  auto h = s.unet().forward(fill);   // LINT[infer-no-autograd]
+  float* g = fill.grad();            // LINT[infer-no-autograd]
+  float* d_fill = nullptr;           // adjoint naming: fine
+  s.session().vjp(d_fill);           // the session VJP: fine
+  (void)h;
+  (void)g;
+}

@@ -1,14 +1,18 @@
 // Tests for the fill framework: metrics, PD estimation, PKB, problem
-// plumbing, coefficients, and the rule-based baselines.
+// plumbing, coefficients, the rule-based baselines, and fill snapshots.
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
 #include "fill/baselines.hpp"
 #include "fill/metrics.hpp"
 #include "fill/pd_model.hpp"
 #include "fill/problem.hpp"
+#include "fill/snapshot.hpp"
 #include "geom/designs.hpp"
 
 namespace neurfill {
@@ -324,6 +328,73 @@ TEST(Baselines, CaiImprovesQualityOverNoFill) {
   const double q1 = p.evaluate(cai.x).s_qual;
   EXPECT_GT(q1, q0);
   EXPECT_GT(cai.objective_evaluations, 4);
+}
+
+FillSnapshot mid_sqp_snapshot(bool full_step_gradient) {
+  FillSnapshot snap;
+  snap.method = "pkb";
+  snap.dims = 2;
+  snap.evaluations = 17;
+  snap.starts = {{0.1, 0.2}};
+  snap.has_sqp_state = true;
+  snap.sqp.x = {0.3, 0.4};
+  snap.sqp.g = {-1.0, 2.0};
+  snap.sqp.f = 0.5;
+  snap.sqp.iteration = 4;
+  snap.sqp.function_evaluations = 9;
+  snap.sqp.lbfgs_sigma = 1.5;
+  snap.sqp.lbfgs_pairs = {{{0.1, 0.0}, {0.2, 0.1}}};
+  snap.sqp.full_step_gradient = full_step_gradient;
+  return snap;
+}
+
+TEST(FillSnapshot, RoundTripsTheSqpCallSchedule) {
+  const std::string path = ::testing::TempDir() + "fill_schedule.nfcp";
+  for (const bool flag : {false, true}) {
+    ASSERT_TRUE(save_fill_snapshot(mid_sqp_snapshot(flag), path).ok());
+    const Expected<FillSnapshot> loaded = load_fill_snapshot(path);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded->sqp.full_step_gradient, flag);
+    EXPECT_EQ(loaded->sqp.x, (VecD{0.3, 0.4}));
+    EXPECT_EQ(loaded->sqp.function_evaluations, 9);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FillSnapshot, SnapshotWithoutScheduleSectionStillLoads) {
+  // Snapshots written before the schedule was persisted lack the section;
+  // they load with the first-iteration default (ask), and a damaged
+  // section is reported, not guessed.
+  const std::string path = ::testing::TempDir() + "fill_schedule_src.nfcp";
+  const std::string old_path = ::testing::TempDir() + "fill_schedule_old.nfcp";
+  ASSERT_TRUE(save_fill_snapshot(mid_sqp_snapshot(false), path).ok());
+  const Expected<CheckpointReader> reader = CheckpointReader::open(path);
+  ASSERT_TRUE(reader.ok());
+  for (const bool damaged : {false, true}) {
+    CheckpointWriter w;
+    for (const std::string& name : reader->section_names()) {
+      if (name != "sqp_schedule") {
+        w.add_section(name, **reader->section(name));
+      } else if (damaged) {
+        ByteWriter b;
+        b.u64(0);  // eight bytes where a u32 belongs
+        w.add_section(name, b.take());
+      }
+    }
+    ASSERT_TRUE(w.commit(old_path).ok());
+    const Expected<FillSnapshot> loaded = load_fill_snapshot(old_path);
+    if (damaged) {
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
+    } else {
+      ASSERT_TRUE(loaded.ok());
+      EXPECT_TRUE(loaded->sqp.full_step_gradient);
+      EXPECT_EQ(loaded->sqp.iteration, 4);
+      EXPECT_EQ(loaded->sqp.lbfgs_pairs.size(), 1u);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(old_path.c_str());
 }
 
 }  // namespace

@@ -14,14 +14,17 @@
 
 #include "common/rng.hpp"
 #include "geom/designs.hpp"
+#include "layout/window_grid.hpp"
 #include "nn/backend/backend.hpp"
 #include "nn/infer/session.hpp"
+#include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "nn/unet.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/infer.hpp"
+#include "tape_oracle.hpp"
 
 namespace neurfill {
 namespace {
@@ -296,65 +299,124 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
   }
 }
 
-TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
-  // The surrogate fast path and the autograd path must agree exactly on
-  // the no-grad objective: the SQP line search evaluates trials through
-  // the fast path and then re-evaluates the accepted trial with gradients
-  // through the module path, assuming both see the same value.
-  const Layout layout = make_design('a', 8, 100.0, 3);
-  const WindowExtraction ext = extract_windows(layout);
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 4;
-  cfg.unet.depth = 2;
-  auto fast_s = std::make_shared<CmpSurrogate>(cfg, 7);
-  auto slow_s = std::make_shared<CmpSurrogate>(cfg, 7);  // same weights
-  slow_s->set_fast_inference(false);
-  ASSERT_TRUE(fast_s->fast_inference_enabled());
-  ASSERT_FALSE(slow_s->fast_inference_enabled());
+TEST(InferenceSession, VjpMatchesTapeInputGradientBitwise) {
+  // The session's reverse pass against Tensor::backward on the module
+  // forward: with and without group norm, at 1 and 4 threads.  The seed
+  // adjoint enters the tape as the grad of sum(y * dy), i.e. dy itself.
+  for (const bool gn : {true, false}) {
+    Rng rng(gn ? 41 : 42);
+    const UNetConfig cfg = small_config(gn);
+    UNet net(cfg, rng);
+    const int H = 12, W = 8;
+    const InferenceSession session(net, H, W);
+    const std::size_t in_n = static_cast<std::size_t>(cfg.in_channels) * H * W;
+    const auto input = random_input(in_n, 7);
+    const auto d_out = random_input(static_cast<std::size_t>(H) * W, 8);
 
-  ScoreCoefficients coeffs;
-  coeffs.beta_sigma = 1000.0;
-  coeffs.beta_sigma_star = 1e5;
-  coeffs.beta_ol = 100.0;
-  CmpNetwork fast_net(fast_s, ext, coeffs);
-  CmpNetwork slow_net(slow_s, ext, coeffs);
+    const Tensor x = Tensor::from_data({1, cfg.in_channels, H, W}, input, true);
+    const Tensor y = net.forward(x);
+    const Tensor dy = Tensor::from_data({1, 1, H, W}, d_out);
+    nn::sum(nn::mul(y, dy)).backward();
 
-  std::vector<GridD> x(3, GridD(8, 8, 0.0));
-  Rng rng(17);
-  for (auto& g : x)
-    for (auto& v : g) v = rng.uniform(0.0, 0.3);
+    for (const int threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      InferenceSession::SavedActivations saved;
+      std::vector<float> out(static_cast<std::size_t>(H) * W);
+      std::vector<float> d_in(in_n);
+      session.run_saving(input.data(), out.data(), saved);
+      session.vjp(saved, d_out.data(), d_in.data());
+      EXPECT_TRUE(bitwise_equal(out.data(), y.data(), out.size()));
+      EXPECT_TRUE(bitwise_equal(d_in.data(), x.grad(), in_n))
+          << "gn=" << gn << " threads=" << threads;
+    }
+    runtime::set_thread_count(0);
+  }
+}
 
-  const auto ef = fast_net.evaluate(x, false);
-  const auto es = slow_net.evaluate(x, false);
-  EXPECT_EQ(ef.s_plan, es.s_plan);
-  EXPECT_EQ(ef.sigma, es.sigma);
-  EXPECT_EQ(ef.sigma_star, es.sigma_star);
-  EXPECT_EQ(ef.outliers, es.outliers);
-  ASSERT_EQ(ef.heights.size(), es.heights.size());
-  for (std::size_t l = 0; l < ef.heights.size(); ++l)
-    for (std::size_t i = 0; i < ef.heights[l].rows(); ++i)
-      for (std::size_t j = 0; j < ef.heights[l].cols(); ++j)
-        EXPECT_EQ(ef.heights[l](i, j), es.heights[l](i, j));
+::testing::AssertionResult grids_bitwise_equal(const std::vector<GridD>& a,
+                                               const std::vector<GridD>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << "layer count " << a.size()
+                                         << " vs " << b.size();
+  for (std::size_t l = 0; l < a.size(); ++l) {
+    if (a[l].size() != b[l].size() ||
+        std::memcmp(a[l].data(), b[l].data(), a[l].size() * sizeof(double)) !=
+            0) {
+      for (std::size_t k = 0; k < a[l].size(); ++k)
+        if (std::memcmp(&a[l][k], &b[l][k], sizeof(double)) != 0)
+          return ::testing::AssertionFailure()
+                 << "layer " << l << " element " << k << ": " << a[l][k]
+                 << " vs " << b[l][k];
+      return ::testing::AssertionFailure() << "layer " << l << " shape";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
-  // predict_heights routes through the same fast path.
-  const auto hf = fast_net.predict_heights(x);
-  const auto hs = slow_net.predict_heights(x);
-  ASSERT_EQ(hf.size(), hs.size());
-  for (std::size_t l = 0; l < hf.size(); ++l)
-    for (std::size_t i = 0; i < hf[l].rows(); ++i)
-      for (std::size_t j = 0; j < hf[l].cols(); ++j)
-        EXPECT_EQ(hf[l](i, j), hs[l](i, j));
-
-  // With gradients requested both networks take the module path.
-  const auto gf = fast_net.evaluate(x, true);
-  const auto gs = slow_net.evaluate(x, true);
-  EXPECT_EQ(gf.s_plan, gs.s_plan);
-  EXPECT_EQ(gf.s_plan, ef.s_plan);  // mixed-path consistency
-  ASSERT_EQ(gf.grad.size(), gs.grad.size());
-  for (std::size_t l = 0; l < gf.grad.size(); ++l)
-    for (std::size_t i = 0; i < gf.grad[l].rows(); ++i)
-      for (std::size_t j = 0; j < gf.grad[l].cols(); ++j)
-        EXPECT_EQ(gf.grad[l](i, j), gs.grad[l](i, j));
+TEST(CmpNetworkVjp, GradientMatchesTapeBitwise) {
+  // The tape-free gradient (session VJP + flat-plane extraction, chaining,
+  // Eq. 10a-c, calibration and merge adjoints) against the autograd tape:
+  // Designs A, B and C, identity and fitted calibrations, a point where a
+  // score term is clipped to zero, at 1 and 4 threads — value fields,
+  // heights and gradient bitwise.
+  SurrogateConfig cfg;  // production architecture: group norm, depth 3
+  for (const char design : {'a', 'b', 'c'}) {
+    const Layout layout = make_design(design, 12, 100.0, 3);
+    const WindowExtraction ext = extract_windows(layout);
+    auto surrogate = std::make_shared<CmpSurrogate>(cfg, 5);
+    std::vector<GridD> x(ext.num_layers(), GridD(ext.rows, ext.cols, 0.0));
+    Rng rng(static_cast<std::uint64_t>(design));
+    for (auto& g : x)
+      for (auto& v : g) v = rng.uniform(0.0, 0.3);
+    // Scales at 10x the metrics keep every score term active (a fitted
+    // calibration moves them by well under that); Eq. 10c's softplus sum is
+    // positive, so a tiny beta clips its term.
+    const CmpNetwork::Eval probe =
+        CmpNetwork(surrogate, ext, ScoreCoefficients{}).evaluate(x, false);
+    std::vector<GridD> unclipped_grad;
+    for (const bool clipped : {false, true}) {
+      ScoreCoefficients coeffs;
+      coeffs.beta_sigma = 10.0 * probe.sigma;
+      coeffs.beta_sigma_star = 10.0 * probe.sigma_star;
+      coeffs.beta_ol = clipped ? 1e-9 : 10.0 * probe.outliers;
+      for (const bool fitted : {false, true}) {
+        CmpNetwork net(surrogate, ext, coeffs);
+        if (fitted)
+          net.set_calibration({0.1, 1.05}, {-0.2, 0.95}, {0.05, 1.02});
+        const CmpNetwork::Eval ref =
+            oracle::tape_evaluate(*surrogate, ext, net, x, true);
+        // The case is live: a non-zero gradient, and the clipped Eq. 10c
+        // term drops out of it.
+        bool nonzero = false;
+        for (const GridD& g : ref.grad)
+          for (const double v : g) nonzero = nonzero || v != 0.0;
+        EXPECT_TRUE(nonzero);
+        if (!fitted && !clipped) unclipped_grad = ref.grad;
+        if (!fitted && clipped) {
+          EXPECT_FALSE(grids_bitwise_equal(ref.grad, unclipped_grad));
+        }
+        for (const int threads : {1, 4}) {
+          runtime::set_thread_count(threads);
+          const CmpNetwork::Eval got = net.evaluate(x, true);
+          const CmpNetwork::Eval value = net.evaluate(x, false);
+          SCOPED_TRACE(testing::Message()
+                       << "design " << design << " clipped " << clipped
+                       << " fitted " << fitted << " threads " << threads);
+          EXPECT_EQ(got.s_plan, ref.s_plan);
+          EXPECT_EQ(got.sigma, ref.sigma);
+          EXPECT_EQ(got.sigma_star, ref.sigma_star);
+          EXPECT_EQ(got.outliers, ref.outliers);
+          EXPECT_EQ(value.s_plan, got.s_plan);
+          EXPECT_TRUE(value.grad.empty());
+          EXPECT_TRUE(grids_bitwise_equal(got.heights, ref.heights));
+          EXPECT_TRUE(grids_bitwise_equal(value.heights, ref.heights));
+          EXPECT_TRUE(grids_bitwise_equal(got.grad, ref.grad));
+          EXPECT_TRUE(grids_bitwise_equal(net.predict_heights(x), ref.heights));
+        }
+        runtime::set_thread_count(0);
+      }
+    }
+  }
 }
 
 TEST(CmpNetworkFast, EvaluateBatchMatchesSerialBitwise) {

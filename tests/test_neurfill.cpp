@@ -4,18 +4,22 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 #include "fill/neurfill.hpp"
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/trainer.hpp"
+#include "tape_oracle.hpp"
 
 namespace neurfill {
 namespace {
@@ -155,46 +159,136 @@ TEST_F(NeurFillPipeline, MmAtLeastMatchesSurrogateObjectiveOfPkb) {
   EXPECT_LE(f_mm, f_pkb + 1e-6);
 }
 
-TEST_F(NeurFillPipeline, BatchedMmMatchesAutogradPathAcrossThreadCounts) {
-  // Full-drive determinism gate for cross-candidate batching: the MM flow
-  // (batched NMMSO move evaluations, batched PKB sweep, prepacked session
-  // weights) must produce byte-identical fills to the --no-fast-inference
-  // autograd path, at 1, 2, and 8 threads.
+TEST_F(NeurFillPipeline, PkbMatchesTapeOracleAcrossThreadCounts) {
+  // Full-drive gate for the tape-free gradient: a pkb fill (batched PKB
+  // sweep, SQP with one-call accepted steps, session VJP gradients) must
+  // equal, byte for byte and in evaluation count, the same drive run on
+  // the autograd-tape objective — at 1, 2, and 8 threads.
+  NeurFillOptions opt;
+  opt.sqp.max_iterations = 12;
+  opt.pkb_steps = 5;
+  const CmpSurrogate& oracle_surrogate = **surrogate_;
+
+  long oracle_evals = 0;
+  const auto oracle_quality =
+      [&](const std::vector<std::vector<GridD>>& xs) {
+        std::vector<double> q;
+        for (const auto& x : xs) {
+          ++oracle_evals;
+          const CmpNetwork::Eval e = oracle::tape_evaluate(
+              oracle_surrogate, problem_->extraction(), *network_, x, false);
+          q.push_back(e.s_plan + pd_score_and_gradient(problem_->extraction(),
+                                                       x,
+                                                       problem_->coefficients())
+                                     .s_pd);
+        }
+        return q;
+      };
+  const VecD start = problem_->flatten(pkb_starting_point_batched(
+      problem_->extraction(), oracle_quality, opt.pkb_steps));
+  const ObjectiveFn tape_obj = oracle::tape_objective(
+      *problem_, oracle_surrogate, *network_, &oracle_evals);
+  const SqpResult oracle_run =
+      sqp_minimize(tape_obj, start, problem_->bounds(), opt.sqp);
+  ASSERT_GT(oracle_run.iterations, 1);
+
+  for (const int threads : {1, 2, 8}) {
+    runtime::set_thread_count(threads);
+    const FillRunResult res = neurfill_pkb(*problem_, *network_, opt);
+    EXPECT_EQ(res.objective_evaluations, oracle_evals) << threads;
+    EXPECT_EQ(res.iterations, oracle_run.iterations) << threads;
+    const VecD x = problem_->flatten(res.x);
+    ASSERT_EQ(x.size(), oracle_run.x.size());
+    EXPECT_EQ(std::memcmp(x.data(), oracle_run.x.data(),
+                          x.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+  runtime::set_thread_count(0);  // restore the environment default
+}
+
+TEST_F(NeurFillPipeline, MmIsBitwiseDeterministicAcrossThreadCounts) {
+  // The MM flow (batched NMMSO moves, batched PKB sweep, SQP gradients
+  // through the session VJP) gives the same fill and evaluation count at
+  // 1, 2, and 8 threads.
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
   opt.pkb_steps = 4;
   opt.nmmso.max_evaluations = 30;
   opt.mm_starts = 2;
-
-  (*surrogate_)->set_fast_inference(false);
-  CmpNetwork slow(*surrogate_, problem_->extraction(),
-                  problem_->coefficients());
-  (*surrogate_)->set_fast_inference(true);
-  slow.set_calibration(network_->sigma_calibration(),
-                       network_->sigma_star_calibration(),
-                       network_->outlier_calibration());
-
   std::vector<VecD> fills;
-  long fast_evals = 0, slow_evals = 0;
+  std::vector<long> evals;
   for (const int threads : {1, 2, 8}) {
     runtime::set_thread_count(threads);
-    const FillRunResult fast_res = neurfill_mm(*problem_, *network_, opt);
-    const FillRunResult slow_res = neurfill_mm(*problem_, slow, opt);
-    fast_evals = fast_res.objective_evaluations;
-    slow_evals = slow_res.objective_evaluations;
-    fills.push_back(problem_->flatten(fast_res.x));
-    fills.push_back(problem_->flatten(slow_res.x));
+    const FillRunResult res = neurfill_mm(*problem_, *network_, opt);
+    fills.push_back(problem_->flatten(res.x));
+    evals.push_back(res.objective_evaluations);
   }
-  runtime::set_thread_count(0);  // restore the environment default
-
-  // Batched and serial paths must also agree on the evaluation count (the
-  // batch accounts one evaluation per candidate).
-  EXPECT_EQ(fast_evals, slow_evals);
+  runtime::set_thread_count(0);
   for (std::size_t r = 1; r < fills.size(); ++r) {
+    EXPECT_EQ(evals[r], evals[0]);
     ASSERT_EQ(fills[0].size(), fills[r].size());
-    for (std::size_t i = 0; i < fills[0].size(); ++i)
-      ASSERT_EQ(fills[0][i], fills[r][i]) << "run " << r << " var " << i;
+    EXPECT_EQ(std::memcmp(fills[0].data(), fills[r].data(),
+                          fills[0].size() * sizeof(double)),
+              0)
+        << "run " << r;
   }
+}
+
+TEST_F(NeurFillPipeline, ConcurrentGradientsMatchSerialBitwise) {
+  // Four threads evaluating value + gradient on one shared CmpNetwork get
+  // exactly the serial results: an evaluation writes no shared state.
+  std::vector<std::vector<GridD>> xs;
+  Rng rng(77);
+  for (int k = 0; k < 8; ++k) {
+    std::vector<GridD> x = problem_->zero_fill();
+    for (auto& g : x)
+      for (auto& v : g) v = rng.uniform(0.0, 0.2);
+    xs.push_back(std::move(x));
+  }
+  std::vector<CmpNetwork::Eval> serial;
+  for (const auto& x : xs) serial.push_back(network_->evaluate(x, true));
+
+  std::vector<CmpNetwork::Eval> concurrent(xs.size());
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t)
+    workers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep)
+        for (std::size_t k = static_cast<std::size_t>(t); k < xs.size();
+             k += 4)
+          concurrent[k] = network_->evaluate(xs[k], true);
+    });
+  for (auto& w : workers) w.join();
+
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    EXPECT_EQ(concurrent[k].s_plan, serial[k].s_plan);
+    ASSERT_EQ(concurrent[k].grad.size(), serial[k].grad.size());
+    for (std::size_t l = 0; l < serial[k].grad.size(); ++l)
+      EXPECT_EQ(std::memcmp(concurrent[k].grad[l].data(),
+                            serial[k].grad[l].data(),
+                            serial[k].grad[l].size() * sizeof(double)),
+                0)
+          << "candidate " << k << " layer " << l;
+  }
+}
+
+TEST_F(NeurFillPipeline, PkbFillLeavesNoParameterGradients) {
+  // The fill differentiates with respect to its input only: no surrogate
+  // parameter ever gets a grad buffer, so a surrogate can be shared by
+  // concurrent fills.  (A fresh surrogate: the fixture's was trained.)
+  SurrogateConfig cfg;
+  cfg.unet.base_channels = 4;
+  cfg.unet.depth = 2;
+  auto fresh = std::make_shared<CmpSurrogate>(cfg, 21);
+  CmpNetwork network(fresh, problem_->extraction(), problem_->coefficients());
+  calibrate_network(network, *problem_);
+  NeurFillOptions opt;
+  opt.sqp.max_iterations = 6;
+  opt.pkb_steps = 4;
+  const FillRunResult res = neurfill_pkb(*problem_, network, opt);
+  EXPECT_GT(res.iterations, 0);
+  for (const nn::Tensor& p : fresh->unet().parameters())
+    EXPECT_FALSE(p.has_grad());
 }
 
 TEST_F(NeurFillPipeline, ReportScoresAreAssembled) {

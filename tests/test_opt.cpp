@@ -1,6 +1,8 @@
 // Tests for the optimization substrate: box-QP, L-BFGS Hessian, SQP, MSP.
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -191,6 +193,230 @@ TEST(Sqp, HonorsIterationBudget) {
   const SqpResult r =
       sqp_minimize(f, VecD{-1.2, 1.0}, make_box(2, -2.0, 2.0), opt);
   EXPECT_LE(r.iterations, 3);
+}
+
+// ------------------------------------------------- SQP call schedule
+
+/// One objective call as the solver made it.
+struct Call {
+  VecD x;
+  bool with_gradient = false;
+};
+
+/// Wraps `f`, recording every call.
+ObjectiveFn recording(const ObjectiveFn& f, std::vector<Call>* calls) {
+  return [f, calls](const VecD& x, VecD* grad) {
+    calls->push_back({x, grad != nullptr});
+    return f(x, grad);
+  };
+}
+
+/// sum_i a_i (x_i - c_i)^2 with the given curvatures, minimum at c_i = i/n.
+ObjectiveFn scaled_bowl(VecD a) {
+  return [a](const VecD& x, VecD* grad) {
+    double v = 0.0;
+    if (grad) grad->assign(x.size(), 0.0);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double c = static_cast<double>(i) / static_cast<double>(x.size());
+      v += a[i] * (x[i] - c) * (x[i] - c);
+      if (grad) (*grad)[i] = 2.0 * a[i] * (x[i] - c);
+    }
+    return v;
+  };
+}
+
+double rosenbrock(const VecD& x, VecD* grad) {
+  const double a = 1.0 - x[0];
+  const double b = x[1] - x[0] * x[0];
+  if (grad) *grad = {-2.0 * a - 400.0 * x[0] * b, 200.0 * b};
+  return a * a + 100.0 * b * b;
+}
+
+double dot(const VecD& a, const VecD& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
+/// The SQP loop as it was before the full-step gradient schedule: value-only
+/// line-search trials, then one more call with the gradient at the accepted
+/// point.  Returns the iterate at the top of every iteration, then the final
+/// one.
+std::vector<VecD> two_call_reference(const ObjectiveFn& f, VecD x,
+                                     const Box& box, const SqpOptions& o) {
+  const std::size_t n = x.size();
+  box.clamp(x);
+  VecD g(n), g_new(n), trial(n), s(n), y(n);
+  double fx = f(x, &g);
+  LbfgsHessian hessian(o.lbfgs_memory);
+  std::vector<VecD> iterates;
+  for (int it = 0; it < o.max_iterations; ++it) {
+    iterates.push_back(x);
+    double pg_inf = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double pg = g[i];
+      if (x[i] <= box.lo[i] + 1e-12 && pg > 0.0) pg = 0.0;
+      if (x[i] >= box.hi[i] - 1e-12 && pg < 0.0) pg = 0.0;
+      pg_inf = std::max(pg_inf, std::fabs(pg));
+    }
+    if (pg_inf < o.tolerance) break;
+    Box shifted;
+    for (std::size_t i = 0; i < n; ++i) {
+      shifted.lo.push_back(box.lo[i] - x[i]);
+      shifted.hi.push_back(box.hi[i] - x[i]);
+    }
+    const VecD d =
+        solve_box_qp([&](const VecD& v, VecD& out) { hessian.apply(v, out); },
+                     g, shifted, o.qp)
+            .d;
+    const double gd = dot(g, d);
+    double dnorm = 0.0;
+    for (const double v : d) dnorm = std::max(dnorm, std::fabs(v));
+    if (dnorm < 1e-14 || gd > -1e-16) break;
+    double alpha = 1.0;
+    bool accepted = false;
+    for (int ls = 0; ls < o.max_line_search; ++ls) {
+      for (std::size_t i = 0; i < n; ++i) trial[i] = x[i] + alpha * d[i];
+      box.clamp(trial);
+      if (f(trial, nullptr) <= fx + o.armijo_c1 * alpha * gd) {
+        accepted = true;
+        break;
+      }
+      alpha *= 0.5;
+    }
+    if (!accepted) break;
+    const double f_old = fx;
+    const double f_new = f(trial, &g_new);
+    if (f_new > f_old) break;
+    fx = f_new;
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = trial[i] - x[i];
+      y[i] = g_new[i] - g[i];
+    }
+    hessian.update(s, y);
+    x = trial;
+    g = g_new;
+    if (std::fabs(f_old - fx) < 1e-12 * std::max(1.0, std::fabs(f_old))) break;
+  }
+  iterates.push_back(x);
+  return iterates;
+}
+
+TEST(SqpSchedule, AcceptedFullStepsCostOneCallPerIteration) {
+  VecD a;
+  for (int i = 0; i < 20; ++i) a.push_back(0.6 + 0.04 * i);
+  std::vector<Call> calls;
+  SqpOptions opt;
+  opt.max_iterations = 5;
+  const SqpResult r = sqp_minimize(recording(scaled_bowl(a), &calls),
+                                   VecD(20, 1.0), make_box(20, -2.0, 2.0), opt);
+  ASSERT_EQ(r.iterations, 5);
+  ASSERT_FALSE(r.converged);
+  EXPECT_EQ(r.function_evaluations, 6);
+  ASSERT_EQ(calls.size(), 6u);  // initial + one per iteration
+  for (const Call& c : calls) EXPECT_TRUE(c.with_gradient);
+}
+
+TEST(SqpSchedule, FullStepAfterARejectedOneIsValueOnly) {
+  // Curvatures 2 and 2.6 against the identity start Hessian: the first full
+  // step overshoots and is rejected, the half step is accepted.
+  std::vector<Call> calls;
+  SqpOptions opt;
+  opt.max_iterations = 3;
+  sqp_minimize(recording(scaled_bowl({1.0, 1.3}), &calls), VecD{0.9, 0.2},
+               make_box(2, -2.0, 2.0), opt);
+  ASSERT_EQ(calls.size(), 7u);
+  EXPECT_TRUE(calls[0].with_gradient);   // initial point
+  EXPECT_TRUE(calls[1].with_gradient);   // full step, first iteration: asks
+  EXPECT_FALSE(calls[2].with_gradient);  // half step (accepted)
+  EXPECT_TRUE(calls[3].with_gradient);   // gradient at the accepted point
+  EXPECT_EQ(calls[3].x, calls[2].x);
+  EXPECT_FALSE(calls[4].with_gradient);  // next full step: value-only
+  EXPECT_TRUE(calls[5].with_gradient);   // ... accepted, re-evaluated
+  EXPECT_EQ(calls[5].x, calls[4].x);
+  EXPECT_TRUE(calls[6].with_gradient);   // after an accepted full step: asks
+}
+
+TEST(SqpSchedule, ResumeKeepsTheScheduleOfTheUninterruptedRun) {
+  // Same run as above.  Its loop-top state after the rejected full step
+  // carries full_step_gradient = false, after the accepted one true; a run
+  // resumed from either makes the uninterrupted run's remaining calls.
+  const ObjectiveFn f = scaled_bowl({1.0, 1.3});
+  const Box box = make_box(2, -2.0, 2.0);
+  std::vector<Call> calls;
+  std::vector<SqpState> states;
+  SqpOptions opt;
+  opt.max_iterations = 3;
+  opt.checkpoint_hook = [&](const SqpState& st) { states.push_back(st); };
+  const SqpResult full = sqp_minimize(recording(f, &calls), VecD{0.9, 0.2},
+                                      box, opt);
+  ASSERT_EQ(states.size(), 3u);
+  EXPECT_TRUE(states[0].full_step_gradient);
+  EXPECT_FALSE(states[1].full_step_gradient);
+  EXPECT_TRUE(states[2].full_step_gradient);
+
+  // calls[] index of each iteration's first call (see the test above).
+  const std::size_t first_call[] = {1, 4, 6};
+  for (std::size_t k = 1; k < states.size(); ++k) {
+    std::vector<Call> resumed_calls;
+    SqpOptions ropt;
+    ropt.max_iterations = 3;
+    ropt.resume = &states[k];
+    const SqpResult resumed =
+        sqp_minimize(recording(f, &resumed_calls), VecD{0.9, 0.2}, box, ropt);
+    ASSERT_EQ(resumed_calls.size(), calls.size() - first_call[k])
+        << "resumed at iteration " << k;
+    for (std::size_t c = 0; c < resumed_calls.size(); ++c) {
+      EXPECT_EQ(resumed_calls[c].x, calls[first_call[k] + c].x);
+      EXPECT_EQ(resumed_calls[c].with_gradient,
+                calls[first_call[k] + c].with_gradient);
+    }
+    EXPECT_EQ(resumed.function_evaluations, full.function_evaluations);
+    EXPECT_EQ(resumed.iterations, full.iterations);
+    EXPECT_EQ(resumed.x, full.x);
+    EXPECT_EQ(resumed.f, full.f);
+  }
+}
+
+TEST(SqpSchedule, ExpensiveGradientKeepsEveryTrialValueOnly) {
+  // cheap_gradient = false (finite-difference objectives): every trial is
+  // value-only and each accepted point gets one call with the gradient.
+  VecD a;
+  for (int i = 0; i < 20; ++i) a.push_back(0.6 + 0.04 * i);
+  std::vector<Call> calls;
+  SqpOptions opt;
+  opt.max_iterations = 5;
+  opt.cheap_gradient = false;
+  const SqpResult r = sqp_minimize(recording(scaled_bowl(a), &calls),
+                                   VecD(20, 1.0), make_box(20, -2.0, 2.0), opt);
+  ASSERT_EQ(r.iterations, 5);
+  ASSERT_EQ(calls.size(), 11u);  // initial + two per iteration
+  EXPECT_TRUE(calls[0].with_gradient);
+  for (std::size_t c = 1; c < calls.size(); c += 2) {
+    EXPECT_FALSE(calls[c].with_gradient);
+    EXPECT_TRUE(calls[c + 1].with_gradient);
+    EXPECT_EQ(calls[c + 1].x, calls[c].x);
+  }
+}
+
+TEST(SqpSchedule, IteratesEqualTheTwoCallLineSearch) {
+  for (const bool rosen : {true, false}) {
+    const ObjectiveFn f = rosen ? ObjectiveFn(rosenbrock)
+                                : scaled_bowl({1.0, 1.3, 0.2, 3.0});
+    const VecD x0 = rosen ? VecD{-1.2, 1.0} : VecD{1.5, -1.0, 0.3, 0.9};
+    const Box box = make_box(x0.size(), -2.0, 2.0);
+    SqpOptions opt;
+    opt.max_iterations = rosen ? 60 : 20;
+    std::vector<VecD> iterates;
+    opt.checkpoint_hook = [&](const SqpState& st) { iterates.push_back(st.x); };
+    const SqpResult r = sqp_minimize(f, x0, box, opt);
+    iterates.push_back(r.x);
+    opt.checkpoint_hook = nullptr;
+    const std::vector<VecD> ref = two_call_reference(f, x0, box, opt);
+    ASSERT_EQ(iterates.size(), ref.size()) << "rosenbrock=" << rosen;
+    for (std::size_t k = 0; k < ref.size(); ++k)
+      EXPECT_EQ(iterates[k], ref[k]) << "iterate " << k;
+  }
 }
 
 TEST(MspSqp, PicksBestBasinOfMultimodal) {

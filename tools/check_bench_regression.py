@@ -35,6 +35,13 @@ Gated keys, lower is better:
   unet_infer_b8_ms_per_sample -- per-sample latency of a batch-8 session
                              run; keeps cross-candidate batching from ever
                              costing more per sample than batch-1
+  unet_vjp_ms_1t          -- single-thread session forward-with-saving +
+                             input VJP on the production architecture
+                             (bench_inference); one layer of a fill gradient
+  sqp_grad_ms             -- single-thread value+gradient call of the CMP
+                             network, 16x16 windows x 3 layers
+                             (bench_fill_throughput): what an accepted SQP
+                             step costs
   serve_p99_ms            -- p99 ping round-trip latency against a live
                              daemon (bench_serve); what any client pays to
                              talk to the daemon at all
@@ -56,7 +63,7 @@ GATED_KEYS_HIGHER = ("gemm_gflops_1t", "gemm_speedup_4t",
                      "fill_evals_per_s", "serve_jobs_per_s")
 GATED_KEYS_LOWER = ("fullchip_tile_ms", "fullchip_stitch_passes",
                     "unet_infer_ms_1t", "unet_infer_b8_ms_per_sample",
-                    "serve_p99_ms")
+                    "unet_vjp_ms_1t", "sqp_grad_ms", "serve_p99_ms")
 
 
 def main() -> int:

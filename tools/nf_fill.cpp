@@ -76,11 +76,6 @@ struct RunFlags {
   std::string snapshot_path;
   int snapshot_every = 1;
   bool resume = false;
-  /// Diagnosis switch: route no-gradient surrogate evaluations through the
-  /// autograd module path instead of the compiled InferenceSession.  Both
-  /// paths are bitwise identical (docs/inference.md), so this only changes
-  /// speed, never the fill.
-  bool no_fast_inference = false;
 };
 
 struct TiledFlags {
@@ -120,7 +115,6 @@ int run(const std::string& in_path, const std::string& out_path,
     result = cai_model_fill(problem, copt);
   } else {  // pkb or mm: the parser only admits the five known methods
     auto surrogate = obtain_surrogate(surrogate_prefix, ext, sim);
-    surrogate->set_fast_inference(!flags.no_fast_inference);
     CmpNetwork network(surrogate, ext, coeffs);
     calibrate_network(network, problem);
     NeurFillOptions nopt;
@@ -223,12 +217,10 @@ int run_tiled(const std::string& in_path, const std::string& out_path,
   if (method == "pkb" || method == "mm") {
     const std::string prefix =
         prepare_tiled_surrogate(surrogate_prefix, fopt, index);
-    const bool fast = !flags.no_fast_inference;
     fopt.surrogate_factory =
-        [prefix, fast]() -> std::shared_ptr<const CmpSurrogate> {
+        [prefix]() -> std::shared_ptr<const CmpSurrogate> {
       Expected<std::shared_ptr<CmpSurrogate>> s = load_surrogate(prefix);
       if (!s.ok()) throw ErrorException(s.error());
-      (*s)->set_fast_inference(fast);
       return std::move(*s);
     };
   }
@@ -291,11 +283,6 @@ int main(int argc, char** argv) {
                   "continue from --snapshot PATH; the resumed run's fill is "
                   "bitwise identical to an uninterrupted one",
                   &flags.resume);
-  parser.add_flag("--no-fast-inference",
-                  "evaluate the surrogate through the autograd module path "
-                  "instead of the compiled inference session (slower, "
-                  "bitwise-identical results; for diagnosis)",
-                  &flags.no_fast_inference);
   parser.add_flag("--tiled",
                   "out-of-core full-chip mode: solve halo tiles through the "
                   "pool and stitch them (docs/fullchip.md)",

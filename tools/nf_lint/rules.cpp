@@ -139,14 +139,17 @@ void rule_determinism(const Project& proj, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 // Rule: infer-no-autograd
 //
-// src/nn/infer is the tape-free inference fast path: a compiled graph that
+// src/nn/infer is the tape-free inference path: a compiled graph that
 // re-derives everything it needs from Module weights at build time and then
-// runs pure Backend primitives.  Any autograd API appearing there — the
-// tape-building Module::forward, TensorImpl, or the grad accessors —
-// reintroduces per-op allocation and tape state behind the session's back,
-// which is exactly the cost the subsystem exists to remove.  The rule bans
-// the identifiers outright (comments are not tokenized, so prose may still
-// explain the relationship to the autograd path).
+// runs pure Backend primitives, forward and VJP.  src/surrogate/infer.* is
+// its surrogate layer (extraction, chaining and their adjoints).  Any
+// autograd API appearing there — the tape-building Module::forward,
+// TensorImpl, or the grad accessors — reintroduces per-op allocation and
+// tape state (shared parameter grad buffers) behind the session's back,
+// which is exactly the cost the path exists to remove.  The rule bans the
+// identifiers outright (comments are not tokenized, so prose may still
+// explain the relationship to the autograd path); adjoint buffers there are
+// named adj_* / d*, never grad.
 
 void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
   static const char* kBanned[] = {
@@ -154,7 +157,9 @@ void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
       "set_requires_grad", "grad",   "grad_vector", "has_grad",
       "ensure_grad",    "zero_grad", "TensorImpl"};
   for (const SourceFile& f : proj.files) {
-    if (!starts_with(f.rel_path, "src/nn/infer/")) continue;
+    if (!starts_with(f.rel_path, "src/nn/infer/") &&
+        !starts_with(f.rel_path, "src/surrogate/infer."))
+      continue;
     const auto& t = f.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (!any_id(t[i])) continue;
@@ -162,8 +167,9 @@ void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
         if (t[i].text == name) {
           add(out, "infer-no-autograd", f, t[i].line,
               "'" + t[i].text +
-                  "' is autograd tape API; src/nn/infer is the tape-free "
-                  "fast path — go through the Backend primitives instead");
+                  "' is autograd tape API; the inference path (src/nn/infer, "
+                  "src/surrogate/infer.*) is tape-free — go through the "
+                  "Backend primitives and session VJP instead");
         }
       }
     }
@@ -627,8 +633,8 @@ const std::vector<RuleEntry>& rule_table() {
        "results must not be silently dropped",
        &rule_expected_discard},
       {"infer-no-autograd",
-       "src/nn/infer must stay free of autograd tape APIs "
-       "(Module::forward, TensorImpl, grad accessors)",
+       "src/nn/infer and src/surrogate/infer.* must stay free of autograd "
+       "tape APIs (Module::forward, TensorImpl, grad accessors)",
        &rule_infer_no_autograd},
       {"fault-catalog",
        "NF_FAULT(\"site\") literals and the docs/robustness.md catalog must "

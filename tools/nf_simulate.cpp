@@ -41,14 +41,12 @@ void write_heights_csv(std::ostream& os, const std::vector<GridD>& heights) {
 
 int run_surrogate(const std::string& path, const std::string& out_path,
                   const ExtractOptions& eopt,
-                  const std::string& surrogate_prefix,
-                  bool no_fast_inference) {
+                  const std::string& surrogate_prefix) {
   const Layout layout = read_glf_file(path);
   const WindowExtraction ext = extract_windows(layout, eopt);
   Expected<std::shared_ptr<CmpSurrogate>> loaded =
       load_surrogate(surrogate_prefix);
   if (!loaded.ok()) throw ErrorException(loaded.error());
-  (*loaded)->set_fast_inference(!no_fast_inference);
   const CmpNetwork network(std::move(*loaded), ext, ScoreCoefficients{});
 
   // Heights of the unfilled design (zero fill everywhere) — the surrogate
@@ -133,7 +131,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string pressure_model = "asperity";
   std::string surrogate_prefix;
-  bool no_fast_inference = false;
   double deadline_s = 0.0;
   ExtractOptions eopt;
   double window_um = eopt.window_um;
@@ -154,11 +151,6 @@ int main(int argc, char** argv) {
                     "at PREFIX instead of simulating (dishing/erosion/step "
                     "columns are 0)",
                     &surrogate_prefix);
-  parser.add_flag("--no-fast-inference",
-                  "with --surrogate: use the autograd module path instead "
-                  "of the compiled inference session (slower, "
-                  "bitwise-identical; for diagnosis)",
-                  &no_fast_inference);
   parser.add_double("--deadline-s", "SEC",
                     "wall-clock budget for the simulation; expiry is a "
                     "structured error, exit 1 (default: none)",
@@ -185,8 +177,7 @@ int main(int argc, char** argv) {
   try {
     rc = surrogate_prefix.empty()
              ? run(path, out_path, eopt, params, deadline_s)
-             : run_surrogate(path, out_path, eopt, surrogate_prefix,
-                             no_fast_inference);
+             : run_surrogate(path, out_path, eopt, surrogate_prefix);
   } catch (const ErrorException& e) {
     std::fprintf(stderr, "error: %s\n", e.err.to_string().c_str());
     rc = 1;
