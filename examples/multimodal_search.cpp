@@ -9,6 +9,7 @@
 
 #include "fill/neurfill.hpp"
 #include "geom/designs.hpp"
+#include "opt/msp.hpp"
 #include "opt/nmmso.hpp"
 #include "surrogate/trainer.hpp"
 
@@ -82,7 +83,7 @@ int main() {
   std::vector<VecD> starts;
   for (std::size_t m = 0; m < modes.size() && m < 3; ++m)
     starts.push_back(modes[m].x);
-  const auto refined = msp_sqp_minimize(neg, starts, box2);
+  const auto refined = msp_sqp_minimize(neg, starts, box2).results;
   std::printf("\nafter MSP-SQP refinement, best quality = %.4f at (%.3f, %.3f)\n",
               -refined.front().f, refined.front().x[0], refined.front().x[1]);
   return 0;

@@ -113,6 +113,18 @@ void persist_snapshot(const FillSnapshot& snap, const std::string& path) {
     LOG_WARN("fill snapshot failed: %s", res.error().to_string().c_str());
 }
 
+long slot_evaluations(const MspSlot& slot) {
+  switch (slot.status) {
+    case MspSlot::Status::kDone:
+      return slot.result.function_evaluations;
+    case MspSlot::Status::kInFlight:
+      return slot.state.function_evaluations;
+    case MspSlot::Status::kPending:
+      break;
+  }
+  return 0;
+}
+
 /// Loads + validates a resume snapshot for `method`; returns false (fresh
 /// run) when the file does not exist.  A corrupt or mismatched snapshot is
 /// a hard error: silently recomputing would violate the byte-identical
@@ -145,82 +157,81 @@ bool load_resume_snapshot(const NeurFillOptions& options,
             std::to_string(loaded->dims) + " variables, the problem has " +
             std::to_string(dims)));
   *snap = std::move(*loaded);
-  LOG_INFO("resuming from '%s': %zu/%zu starts done%s",
-           options.snapshot_path.c_str(), snap->completed.size(),
-           snap->starts.size(),
-           snap->has_sqp_state ? ", one mid-flight" : "");
+  std::size_t done = 0, in_flight = 0;
+  for (const MspSlot& slot : snap->slots) {
+    done += slot.status == MspSlot::Status::kDone ? 1 : 0;
+    in_flight += slot.status == MspSlot::Status::kInFlight ? 1 : 0;
+  }
+  LOG_INFO("resuming from '%s': %zu/%zu starts done, %zu in flight",
+           options.snapshot_path.c_str(), done, snap->starts.size(),
+           in_flight);
   return true;
+}
+
+/// Objective evaluations made before the MSP drive (the start-list phase):
+/// a snapshot's total less what its slots account for.
+long pre_drive_evaluations(const FillSnapshot& snap) {
+  long evals = snap.evaluations;
+  for (const MspSlot& slot : snap.slots) evals -= slot_evaluations(slot);
+  return evals;
 }
 
 struct MspDrive {
   std::vector<SqpResult> results;  ///< sorted best (lowest f) first
+  long evaluations = 0;  ///< the drive's objective evaluations, every start
   bool timed_out = false;
 };
 
-/// Runs SQP over the MSP start list with per-iteration snapshotting and a
-/// shared deadline; continues from `resumed` when non-null.  Deterministic:
-/// an interrupted + resumed drive visits the exact same iterates as an
-/// uninterrupted one.
+/// Runs MSP-SQP over the start list (msp_sqp_minimize: the starts run
+/// concurrently) with snapshotting, interrupt and a shared deadline;
+/// continues from `resumed` when non-null.  Deterministic: an interrupted
+/// + resumed drive visits the exact same iterates as an uninterrupted one.
+/// A snapshot is written at every completed start and at every
+/// snapshot_every-th loop top counted across the drive; `pre_evals` is
+/// the evaluation count of the start-list phase, which snapshots carry.
 MspDrive drive_msp(const ObjectiveFn& obj, const std::string& method,
                    const std::vector<VecD>& starts, const Box& box,
-                   const NeurFillOptions& options, long* evals,
+                   const NeurFillOptions& options, long pre_evals,
                    const FillSnapshot* resumed) {
-  MspDrive out;
-  SqpState resume_state;
-  bool use_resume = false;
-  if (resumed) {
-    out.results = resumed->completed;
-    if (resumed->has_sqp_state) {
-      resume_state = resumed->sqp;
-      use_resume = true;
-    }
-  }
-  const auto make_snapshot = [&](bool mid_flight, const SqpState* st) {
+  const auto make_snapshot = [&](const std::vector<MspSlot>& slots) {
     FillSnapshot snap;
     snap.method = method;
     snap.dims = box.size();
-    snap.evaluations = *evals;
     snap.starts = starts;
-    snap.completed = out.results;
-    snap.has_sqp_state = mid_flight;
-    if (mid_flight) snap.sqp = *st;
+    snap.slots = slots;
+    snap.evaluations = pre_evals;
+    for (const MspSlot& slot : slots) snap.evaluations += slot_evaluations(slot);
     return snap;
   };
-  for (std::size_t i = out.results.size(); i < starts.size(); ++i) {
-    SqpOptions so = options.sqp;
-    so.deadline = options.deadline;
-    if (use_resume) {
-      so.resume = &resume_state;
-      use_resume = false;
-    }
-    if (!options.snapshot_path.empty() || options.interrupt) {
-      so.checkpoint_hook = [&](const SqpState& st) {
-        const bool interrupted =
-            options.interrupt &&
-            options.interrupt->load(std::memory_order_relaxed);
-        if (!options.snapshot_path.empty() &&
-            (interrupted || options.snapshot_every <= 1 ||
-             st.iteration % options.snapshot_every == 0))
-          persist_snapshot(make_snapshot(true, &st), options.snapshot_path);
-        if (interrupted)
-          throw ErrorException(Error(
-              ErrorCode::kInterrupted, "fill",
-              options.snapshot_path.empty()
-                  ? std::string("interrupt acknowledged")
-                  : "interrupt acknowledged; snapshot saved to '" +
-                        options.snapshot_path + "'"));
-      };
-    }
-    out.results.push_back(sqp_minimize(obj, starts[i], box, so));
+  MspOptions mo;
+  mo.sqp = options.sqp;
+  mo.sqp.deadline = options.deadline;
+  mo.stop = options.interrupt;
+  if (!options.snapshot_path.empty())
+    mo.on_update = [&](const std::vector<MspSlot>& slots, std::size_t,
+                       long loop_top) {
+      if (loop_top < 0 || options.snapshot_every <= 1 ||
+          loop_top % options.snapshot_every == 0)
+        persist_snapshot(make_snapshot(slots), options.snapshot_path);
+    };
+  MspOutcome outcome = msp_sqp_minimize(
+      obj, starts, box, mo,
+      resumed != nullptr ? resumed->slots : std::vector<MspSlot>());
+  if (outcome.stopped) {
     if (!options.snapshot_path.empty())
-      persist_snapshot(make_snapshot(false, nullptr), options.snapshot_path);
-    if (out.results.back().timed_out) {
-      out.timed_out = true;
-      break;
-    }
+      persist_snapshot(make_snapshot(outcome.slots), options.snapshot_path);
+    throw ErrorException(Error(
+        ErrorCode::kInterrupted, "fill",
+        options.snapshot_path.empty()
+            ? std::string("interrupt acknowledged")
+            : "interrupt acknowledged; snapshot saved to '" +
+                  options.snapshot_path + "'"));
   }
-  std::sort(out.results.begin(), out.results.end(),
-            [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
+  MspDrive out;
+  for (const MspSlot& slot : outcome.slots)
+    out.evaluations += slot_evaluations(slot);
+  out.results = std::move(outcome.results);
+  out.timed_out = outcome.timed_out;
   return out;
 }
 
@@ -257,7 +268,7 @@ FillRunResult neurfill_pkb(const FillProblem& problem,
     // The snapshot stores the start list, so the PKB linear search (and its
     // evaluation count) is not replayed.
     starts = resumed.starts;
-    evals = resumed.evaluations;
+    evals = pre_drive_evaluations(resumed);
   } else {
     // All `pkb_steps` sweep candidates are judged in one batched network
     // evaluation; the chosen start (and the evaluation count) is identical
@@ -271,10 +282,11 @@ FillRunResult neurfill_pkb(const FillProblem& problem,
     starts.push_back(problem.flatten(start));
   }
 
-  const ObjectiveFn obj = make_network_objective(problem, network, &evals);
-  const MspDrive drive = drive_msp(obj, "pkb", starts, problem.bounds(),
-                                   options, &evals, have_resume ? &resumed
-                                                                : nullptr);
+  const MspDrive drive =
+      drive_msp(make_network_objective(problem, network), "pkb", starts,
+                problem.bounds(), options, evals,
+                have_resume ? &resumed : nullptr);
+  evals += drive.evaluations;
 
   FillRunResult res;
   res.method = "NeurFill (PKB)";
@@ -289,7 +301,6 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
                           const NeurFillOptions& options) {
   obs::SpanTimer timer("fill.neurfill_mm");
   long evals = 0;
-  const ObjectiveFn obj = make_network_objective(problem, network, &evals);
   FillSnapshot resumed;
   const bool have_resume = load_resume_snapshot(
       options, "mm", problem.bounds().size(), &resumed);
@@ -300,7 +311,7 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     // NMMSO is checkpointed only at phase completion (its mid-run state is
     // not persisted), so a snapshot implies the start list is final.
     starts = resumed.starts;
-    evals = resumed.evaluations;
+    evals = pre_drive_evaluations(resumed);
   } else {
     // Multi-modal exploration maximizes the quality score (value only).
     // The explore objective carries no shared mutable state (its
@@ -379,9 +390,13 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     }
   }
 
-  const MspDrive drive = drive_msp(obj, "mm", starts, problem.bounds(),
-                                   options, &evals, have_resume ? &resumed
-                                                                : nullptr);
+  // The SQP objective counts nothing: each start counts its own
+  // evaluations, so the starts share no mutable state and run concurrently.
+  const MspDrive drive =
+      drive_msp(make_network_objective(problem, network), "mm", starts,
+                problem.bounds(), options, evals,
+                have_resume ? &resumed : nullptr);
+  evals += drive.evaluations;
 
   FillRunResult res;
   res.method = "NeurFill (MM)";

@@ -1285,15 +1285,18 @@ void CpuBackend::concat_channels_fwd(int batch, int channels_a, int channels_b,
   }
 }
 
-/// Does the fused block take the packed-GEMM fallback for a single sample
-/// (stride or an output too narrow for the direct kernel's vector blocks)?
-/// 4-wide outputs with a multiple-of-4 height stay direct on 16-lane hosts
-/// via quad row packing (conv_direct_block_quad).  The branch in
-/// conv2d_gn_act_fwd_packed below consumes this predicate directly;
-/// batch-independent by construction.
+/// Does the fused block take the packed GEMM for a single sample?  The
+/// direct kernel only pays off on whole 8-column vector blocks: any other
+/// stride-1 width (e.g. the 12-wide stage of a 24x24 plane, which would run
+/// 4 scalar tail columns per row) goes to the packed GEMM, as do strided
+/// convs.  4-wide outputs with a multiple-of-4 height stay direct on
+/// 16-lane hosts via quad row packing (conv_direct_block_quad).  The branch
+/// in conv2d_gn_act_fwd_packed below consumes this predicate directly;
+/// batch-independent by construction, and bitwise-neutral by the chain
+/// contract.
 static bool fused_conv_uses_gemm(const Conv2dGeom& g) {
   if (g.stride != 1) return true;
-  if (g.out_width >= 8) return false;
+  if (g.out_width % 8 == 0) return false;
   return !(kConvPairRows && g.out_width == 4 && g.out_height % 4 == 0);
 }
 
@@ -1401,13 +1404,13 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
           }
         });
   } else if (!fused_conv_uses_gemm(g)) {
-    // The direct kernel's vector blocks need at least 8 output columns per
-    // row (or 4 with quad row packing); below that every element falls to
-    // the scalar path, whose serial FMA chain runs ~4x slower per product
-    // than the GEMM (which flattens all Hout*Wout pixels into one
-    // vectorizable axis).  Outputs narrower still — the deepest stages of
-    // a small-window UNet — take the GEMM branch instead; the shared chain
-    // contract keeps the two bitwise identical.
+    // The direct kernel's vector blocks cover whole 8-column groups (or 4
+    // columns with quad row packing); any remainder falls to the scalar
+    // path, whose serial FMA chain runs ~4x slower per product than the
+    // GEMM (which flattens all Hout*Wout pixels into one vectorizable
+    // axis).  Every other width — the 12-wide stage of a 24x24 plane, the
+    // deepest stages of a small-window UNet — takes the GEMM branch
+    // instead; the shared chain contract keeps the two bitwise identical.
     // Direct convolution (see the block comment above conv_direct_one).
     // The zero-padded input plane is materialized ONCE per call (disjoint
     // row writes, any order — the pads are constants), then every output

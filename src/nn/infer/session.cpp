@@ -204,37 +204,49 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 }
 
 void InferenceSession::plan_saved() {
-  // Private slot per value (the VJP reads every activation after the whole
-  // forward has run), then the pre-normalization outputs.  The adjoint
-  // scratch of vjp() reuses the value layout and appends two block-sized
-  // planes for the activation and normalization adjoints.
+  // The recorded pass keeps only what vjp() reads: each normalized block's
+  // pre-normalization output and statistics, each ReLU block's mask, each
+  // pool's argmax.  The adjoint scratch of vjp() gives every value a slot
+  // (a value's adjoint is complete only once all its consumers have run)
+  // and appends two block-sized planes for the activation and
+  // normalization adjoints.
   std::size_t top = 0;
   for (ValueSpec& v : values_) {
     if (v.external) continue;
-    v.saved_offset = top;
+    v.adj_offset = top;
     top += aligned_floats(v.channels, v.height, v.width);
   }
-  saved_value_floats_ = top;
+  adj_floats_ = top;
   for (Node& node : nodes_) {
     const ValueSpec& out = values_[node.out];
+    const std::size_t numel = static_cast<std::size_t>(out.channels) *
+                              static_cast<std::size_t>(out.height) *
+                              static_cast<std::size_t>(out.width);
     if (node.kind == Node::Kind::kConvBlock) {
       const std::size_t floats =
           aligned_floats(out.channels, out.height, out.width);
       if (floats > max_block_floats_) max_block_floats_ = floats;
       if (node.conv.groups > 0) {
-        node.saved_prenorm = top;
-        top += floats;
+        node.saved_prenorm = saved_floats_;
+        saved_floats_ += floats;
         node.saved_stats = saved_stats_;
         saved_stats_ += 2 * static_cast<std::size_t>(node.conv.groups);
       }
+      if (node.conv.act == ActKind::kRelu) {
+        node.saved_mask = saved_mask_bytes_;
+        saved_mask_bytes_ += numel;
+      }
     } else if (node.kind == Node::Kind::kMaxPool) {
       node.saved_argmax = saved_argmax_;
-      saved_argmax_ += static_cast<std::size_t>(out.channels) *
-                       static_cast<std::size_t>(out.height) *
-                       static_cast<std::size_t>(out.width);
+      saved_argmax_ += numel;
     }
   }
-  saved_floats_ = top;
+}
+
+std::size_t InferenceSession::saved_bytes() const {
+  return saved_floats_ * sizeof(float) + saved_stats_ * sizeof(double) +
+         saved_mask_bytes_ +
+         saved_argmax_ * sizeof(std::int64_t);
 }
 
 void InferenceSession::prepack_weights() {
@@ -344,20 +356,11 @@ float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
   return arena + values_[vid].offset * static_cast<std::size_t>(batch);
 }
 
-void InferenceSession::run(const float* input, float* output,
-                           int batch) const {
-  NF_CHECK(batch >= 1, "InferenceSession::run: batch must be >= 1, got %d",
-           batch);
-  NF_CHECK(input != nullptr && output != nullptr,
-           "InferenceSession::run: null buffer");
-  NF_GAUGE_SET("infer.batch", batch);
-  NF_COUNTER_ADD("infer.samples", batch);
-  if (batch > 1) NF_COUNTER_ADD("infer.batched_runs", 1);
-
+float* InferenceSession::thread_arena(int batch) const {
   // Grow-only per-thread arena: zero allocation in steady state, and
-  // concurrent run() calls from different threads never share activations.
-  // The arena is sized for max(batch, max_batch_) so a session planned for
-  // a batch ceiling never reallocates when the batch varies below it; the
+  // concurrent passes on different threads never share activations.  The
+  // arena is sized for max(batch, max_batch_) so a session planned for a
+  // batch ceiling never reallocates when the batch varies below it; the
   // high-water tracker feeds the gauge and the grow-event counter that the
   // zero-steady-state-allocation test pins.
   static thread_local AlignedBuffer<float> tls_arena;
@@ -371,7 +374,19 @@ void InferenceSession::run(const float* input, float* output,
     NF_GAUGE_SET("infer.arena_high_water_bytes",
                  static_cast<double>(need * sizeof(float)));
   }
-  execute(input, output, batch, tls_arena.ensure(need), nullptr);
+  return tls_arena.ensure(need);
+}
+
+void InferenceSession::run(const float* input, float* output,
+                           int batch) const {
+  NF_CHECK(batch >= 1, "InferenceSession::run: batch must be >= 1, got %d",
+           batch);
+  NF_CHECK(input != nullptr && output != nullptr,
+           "InferenceSession::run: null buffer");
+  NF_GAUGE_SET("infer.batch", batch);
+  NF_COUNTER_ADD("infer.samples", batch);
+  if (batch > 1) NF_COUNTER_ADD("infer.batched_runs", 1);
+  execute(input, output, batch, thread_arena(batch), nullptr);
 }
 
 void InferenceSession::run_saving(const float* input, float* output,
@@ -379,19 +394,18 @@ void InferenceSession::run_saving(const float* input, float* output,
   NF_CHECK(input != nullptr && output != nullptr,
            "InferenceSession::run_saving: null buffer");
   NF_COUNTER_ADD("infer.samples", 1);
-  saved.values.ensure(saved_floats_);
+  saved.prenorm.ensure(saved_floats_);
   saved.stats.ensure(saved_stats_);
+  saved.relu_mask.ensure(saved_mask_bytes_);
   saved.argmax.ensure(saved_argmax_);
-  execute(input, output, 1, nullptr, &saved);
+  execute(input, output, 1, thread_arena(1), &saved);
 }
 
 void InferenceSession::execute(const float* input, float* output, int batch,
                                float* arena, SavedActivations* saved) const {
   NF_TRACE_SPAN("nn.infer_run");
-  float* values = saved != nullptr ? saved->values.data() : nullptr;
   const auto at = [&](int vid) -> float* {
-    return saved != nullptr ? values + values_[vid].saved_offset
-                            : value_ptr(vid, arena, batch);
+    return value_ptr(vid, arena, batch);
   };
   Backend& be = backend();
   // Panels belong to the backend that packed them; after a backend swap the
@@ -411,43 +425,51 @@ void InferenceSession::execute(const float* input, float* output, int batch,
                               ? packs + c.packed_offset
                               : nullptr;
         const bool keep_norm_input = saved != nullptr && c.groups > 0;
+        const std::int64_t numel = static_cast<std::int64_t>(batch) *
+                                   g.out_channels * g.out_height *
+                                   g.out_width;
         if (fuse_ && !keep_norm_input) {
           be.conv2d_gn_act_fwd_packed(g, c.groups, c.eps, c.act, c.slope, in0,
                                       c.weight, pw, c.bias, c.gamma, c.beta,
                                       out);
-          break;
+        } else {
+          // The unfused chain, bitwise equal to the fused kernel: the
+          // fusion-free reference (fuse = false), and a recorded normalized
+          // block, whose adjoint needs the group norm's input and
+          // statistics that the fused kernel never materializes.
+          float* conv_out =
+              keep_norm_input ? saved->prenorm.data() + node.saved_prenorm
+                              : out;
+          double* stats = keep_norm_input
+                              ? saved->stats.data() + node.saved_stats
+                              : nullptr;
+          if (fuse_)
+            be.conv2d_gn_act_fwd_packed(g, 0, c.eps, ActKind::kNone, 0.0f,
+                                        in0, c.weight, pw, c.bias, nullptr,
+                                        nullptr, conv_out);
+          else
+            be.conv2d_fwd(g, in0, c.weight, c.bias, conv_out);
+          if (c.groups > 0) {
+            GroupNormGeom ng;
+            ng.batch = batch;
+            ng.channels = g.out_channels;
+            ng.height = g.out_height;
+            ng.width = g.out_width;
+            ng.groups = c.groups;
+            ng.eps = c.eps;
+            be.group_norm_fwd(ng, conv_out, c.gamma, c.beta, out, stats,
+                              stats != nullptr ? stats + c.groups : nullptr);
+          }
+          if (c.act == ActKind::kRelu)
+            be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+          else if (c.act == ActKind::kLeakyRelu)
+            be.unary_map(UnaryKind::kLeakyRelu, c.slope, out, out, numel);
         }
-        // The unfused chain, bitwise equal to the fused kernel: the
-        // fusion-free reference (fuse = false), and a recorded normalized
-        // block, whose adjoint needs the group norm's input and statistics
-        // that the fused kernel never materializes.
-        float* conv_out = keep_norm_input ? values + node.saved_prenorm : out;
-        double* stats =
-            keep_norm_input ? saved->stats.data() + node.saved_stats : nullptr;
-        if (fuse_)
-          be.conv2d_gn_act_fwd_packed(g, 0, c.eps, ActKind::kNone, 0.0f, in0,
-                                      c.weight, pw, c.bias, nullptr, nullptr,
-                                      conv_out);
-        else
-          be.conv2d_fwd(g, in0, c.weight, c.bias, conv_out);
-        if (c.groups > 0) {
-          GroupNormGeom ng;
-          ng.batch = batch;
-          ng.channels = g.out_channels;
-          ng.height = g.out_height;
-          ng.width = g.out_width;
-          ng.groups = c.groups;
-          ng.eps = c.eps;
-          be.group_norm_fwd(ng, conv_out, c.gamma, c.beta, out, stats,
-                            stats != nullptr ? stats + c.groups : nullptr);
+        if (saved != nullptr && c.act == ActKind::kRelu) {
+          // ReLU's mask from its output: y > 0 exactly when the input was.
+          std::uint8_t* mask = saved->relu_mask.data() + node.saved_mask;
+          for (std::int64_t i = 0; i < numel; ++i) mask[i] = out[i] > 0.0f;
         }
-        const std::int64_t numel = static_cast<std::int64_t>(batch) *
-                                   g.out_channels * g.out_height *
-                                   g.out_width;
-        if (c.act == ActKind::kRelu)
-          be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
-        else if (c.act == ActKind::kLeakyRelu)
-          be.unary_map(UnaryKind::kLeakyRelu, c.slope, out, out, numel);
         break;
       }
       case Node::Kind::kMaxPool:
@@ -485,25 +507,21 @@ void InferenceSession::vjp(const SavedActivations& saved,
   NF_CHECK(d_output != nullptr && d_input != nullptr,
            "InferenceSession::vjp: null buffer");
   NF_TRACE_SPAN("nn.infer_vjp");
-  // Per-thread adjoint scratch: one slot per value (the saved layout), then
+  // Per-thread adjoint scratch: one slot per value, then
   // the activation and normalization adjoints of the block in flight.  All
   // value adjoints start at zero and every consumer accumulates into them,
   // exactly as the tape's grad buffers do — including the +0 a zero-seeded
   // accumulation gives a -0 contribution.
   static thread_local AlignedBuffer<float> tls_adjoint;
-  float* adj =
-      tls_adjoint.ensure(saved_value_floats_ + 2 * max_block_floats_);
-  std::memset(adj, 0, saved_value_floats_ * sizeof(float));
-  float* d_act = adj + saved_value_floats_;
+  float* adj = tls_adjoint.ensure(adj_floats_ + 2 * max_block_floats_);
+  std::memset(adj, 0, adj_floats_ * sizeof(float));
+  float* d_act = adj + adj_floats_;
   float* d_pre = d_act + max_block_floats_;
   const std::size_t in_floats = static_cast<std::size_t>(in_channels_) *
                                 static_cast<std::size_t>(height_) * width_;
   std::memset(d_input, 0, in_floats * sizeof(float));
   const auto adj_of = [&](int vid) -> float* {
-    return values_[vid].external ? d_input : adj + values_[vid].saved_offset;
-  };
-  const auto value_of = [&](int vid) -> const float* {
-    return saved.values.data() + values_[vid].saved_offset;
+    return values_[vid].external ? d_input : adj + values_[vid].adj_offset;
   };
   const ValueSpec& out_spec = values_[out_value_];
   std::memcpy(adj_of(out_value_), d_output,
@@ -529,10 +547,9 @@ void InferenceSession::vjp(const SavedActivations& saved,
         NF_CHECK(c.act != ActKind::kLeakyRelu,
                  "InferenceSession::vjp: leaky ReLU blocks unsupported");
         if (c.act == ActKind::kRelu) {
-          // ReLU's mask from its output: y > 0 exactly when the input was.
-          const float* y = value_of(node.out);
+          const std::uint8_t* mask = saved.relu_mask.data() + node.saved_mask;
           for (std::size_t i = 0; i < numel; ++i)
-            d_act[i] = 0.0f + dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+            d_act[i] = 0.0f + dy[i] * (mask[i] != 0 ? 1.0f : 0.0f);
           dy = d_act;
         }
         if (c.groups > 0) {
@@ -545,7 +562,7 @@ void InferenceSession::vjp(const SavedActivations& saved,
           ng.eps = c.eps;
           const double* stats = saved.stats.data() + node.saved_stats;
           std::memset(d_pre, 0, numel * sizeof(float));
-          be.group_norm_bwd(ng, saved.values.data() + node.saved_prenorm,
+          be.group_norm_bwd(ng, saved.prenorm.data() + node.saved_prenorm,
                             stats, stats + c.groups, c.gamma, dy, d_pre,
                             nullptr, nullptr);
           dy = d_pre;

@@ -66,14 +66,17 @@ class InferenceSession {
   /// no allocation: the arena is a grow-only thread_local buffer.
   void run(const float* input, float* output, int batch = 1) const;
 
-  /// What run_saving() keeps for vjp(): every node value, the
-  /// pre-normalization conv output and group statistics of each normalized
-  /// block, and the argmax indices of each pool.  Caller-owned, so several
-  /// passes can be pending at once (one per surrogate layer) and concurrent
-  /// callers never share one; grow-only, so reuse allocates nothing.
+  /// What run_saving() keeps for vjp() — only the operands the adjoints
+  /// read: the pre-normalization conv output and group statistics of each
+  /// normalized block, the ReLU mask (one byte per element) of each ReLU
+  /// block, and the argmax indices of each pool.  Every other value of the
+  /// pass lives in the reusable arena.  Caller-owned, so several passes can
+  /// be pending at once (one per surrogate layer) and concurrent callers
+  /// never share one; grow-only, so reuse allocates nothing.
   struct SavedActivations {
-    AlignedBuffer<float> values;
+    AlignedBuffer<float> prenorm;
     AlignedBuffer<double> stats;
+    AlignedBuffer<std::uint8_t> relu_mask;
     AlignedBuffer<std::int64_t> argmax;
   };
 
@@ -103,6 +106,8 @@ class InferenceSession {
   /// Arena footprint per batch sample, in floats (introspection/tests).
   std::size_t arena_floats_per_sample() const { return arena_floats_; }
   std::size_t node_count() const { return nodes_.size(); }
+  /// Bytes one run_saving() pass records (introspection/tests).
+  std::size_t saved_bytes() const;
 
  private:
   struct ValueSpec {
@@ -111,9 +116,8 @@ class InferenceSession {
     int width = 0;
     bool external = false;    ///< the session input, not arena-backed
     std::size_t offset = 0;   ///< per-sample float offset into the arena
-    /// Private float offset in SavedActivations::values, and of the value's
-    /// adjoint in the VJP scratch (same layout).
-    std::size_t saved_offset = 0;
+    /// Float offset of the value's adjoint in the VJP scratch.
+    std::size_t adj_offset = 0;
   };
 
   struct ConvBlockSpec {
@@ -138,11 +142,12 @@ class InferenceSession {
     int in1 = -1;  ///< kConcat only (second operand)
     int out = -1;
     ConvBlockSpec conv;  ///< kConvBlock only
-    /// SavedActivations offsets: the pre-normalization output (floats) and
-    /// the mean/istd pairs (doubles) of a normalized kConvBlock, or the
-    /// argmax indices of a kMaxPool.
+    /// SavedActivations offsets: the pre-normalization output (floats),
+    /// the mean/istd pairs (doubles) and the ReLU mask (bytes) of a
+    /// kConvBlock, or the argmax indices of a kMaxPool.
     std::size_t saved_prenorm = 0;
     std::size_t saved_stats = 0;
+    std::size_t saved_mask = 0;
     std::size_t saved_argmax = 0;
   };
 
@@ -153,9 +158,10 @@ class InferenceSession {
   void plan_saved();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
-  /// Runs the node list.  Without `saved`, values live in the arena at
-  /// batch `batch`; with it (batch 1), every value gets its private slot in
-  /// saved->values and the backward operands are recorded alongside.
+  /// This thread's arena, sized for max(batch, max_batch) samples.
+  float* thread_arena(int batch) const;
+  /// Runs the node list with values in the arena at batch `batch`; with
+  /// `saved` (batch 1), the backward operands are recorded there too.
   void execute(const float* input, float* output, int batch, float* arena,
                SavedActivations* saved) const;
 
@@ -169,9 +175,10 @@ class InferenceSession {
   AlignedBuffer<float> packed_weights_;
   Backend* pack_backend_ = nullptr;  ///< backend the panels were packed on
   std::size_t arena_floats_ = 0;
-  std::size_t saved_value_floats_ = 0;  ///< values part of the saved layout
-  std::size_t saved_floats_ = 0;        ///< + pre-normalization outputs
+  std::size_t adj_floats_ = 0;  ///< value adjoints in the VJP scratch
+  std::size_t saved_floats_ = 0;  ///< pre-normalization outputs
   std::size_t saved_stats_ = 0;
+  std::size_t saved_mask_bytes_ = 0;
   std::size_t saved_argmax_ = 0;
   std::size_t max_block_floats_ = 0;    ///< largest conv block output
   int out_value_ = -1;

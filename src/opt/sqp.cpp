@@ -292,17 +292,4 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
   return res;
 }
 
-std::vector<SqpResult> msp_sqp_minimize(const ObjectiveFn& f,
-                                        const std::vector<VecD>& starts,
-                                        const Box& box,
-                                        const SqpOptions& options) {
-  std::vector<SqpResult> results;
-  results.reserve(starts.size());
-  for (const VecD& x0 : starts)
-    results.push_back(sqp_minimize(f, x0, box, options));
-  std::sort(results.begin(), results.end(),
-            [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
-  return results;
-}
-
 }  // namespace neurfill

@@ -126,11 +126,4 @@ struct SqpResult {
 SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
                        const SqpOptions& options = SqpOptions());
 
-/// Multiple-starting-points driver (the "MSP" of MSP-SQP): runs SQP from
-/// every start and returns the results sorted best (lowest f) first.
-std::vector<SqpResult> msp_sqp_minimize(const ObjectiveFn& f,
-                                        const std::vector<VecD>& starts,
-                                        const Box& box,
-                                        const SqpOptions& options = SqpOptions());
-
 }  // namespace neurfill

@@ -14,12 +14,12 @@ mkdir -p "$WORK"
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
 # A deterministic fixture: mm is the method with the most resumable state
-# (NMMSO phase + multi-start SQP), 2 threads exercises the deterministic
-# parallel runtime.
+# (NMMSO phase + multi-start SQP); 4 threads run the MSP-SQP starts
+# concurrently, so the kill can land with several starts in flight.
 "$NF_GEN" b "$WORK/in.glf" --windows 10 --seed 3 >/dev/null 2>&1 \
   || fail "nf_gen could not write the fixture layout"
 
-COMMON_ARGS=(--method mm --threads 2 --surrogate "$WORK/reduced")
+COMMON_ARGS=(--method mm --threads 4 --surrogate "$WORK/reduced")
 
 # Reference: one uninterrupted run.  (The first run also quick-trains the
 # reduced surrogate into $WORK, so every later run loads identical weights.)

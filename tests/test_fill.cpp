@@ -336,15 +336,17 @@ FillSnapshot mid_sqp_snapshot(bool full_step_gradient) {
   snap.dims = 2;
   snap.evaluations = 17;
   snap.starts = {{0.1, 0.2}};
-  snap.has_sqp_state = true;
-  snap.sqp.x = {0.3, 0.4};
-  snap.sqp.g = {-1.0, 2.0};
-  snap.sqp.f = 0.5;
-  snap.sqp.iteration = 4;
-  snap.sqp.function_evaluations = 9;
-  snap.sqp.lbfgs_sigma = 1.5;
-  snap.sqp.lbfgs_pairs = {{{0.1, 0.0}, {0.2, 0.1}}};
-  snap.sqp.full_step_gradient = full_step_gradient;
+  snap.slots.resize(1);
+  snap.slots[0].status = MspSlot::Status::kInFlight;
+  SqpState& st = snap.slots[0].state;
+  st.x = {0.3, 0.4};
+  st.g = {-1.0, 2.0};
+  st.f = 0.5;
+  st.iteration = 4;
+  st.function_evaluations = 9;
+  st.lbfgs_sigma = 1.5;
+  st.lbfgs_pairs = {{{0.1, 0.0}, {0.2, 0.1}}};
+  st.full_step_gradient = full_step_gradient;
   return snap;
 }
 
@@ -354,9 +356,11 @@ TEST(FillSnapshot, RoundTripsTheSqpCallSchedule) {
     ASSERT_TRUE(save_fill_snapshot(mid_sqp_snapshot(flag), path).ok());
     const Expected<FillSnapshot> loaded = load_fill_snapshot(path);
     ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->sqp.full_step_gradient, flag);
-    EXPECT_EQ(loaded->sqp.x, (VecD{0.3, 0.4}));
-    EXPECT_EQ(loaded->sqp.function_evaluations, 9);
+    ASSERT_EQ(loaded->slots.size(), 1u);
+    const SqpState& st = loaded->slots[0].state;
+    EXPECT_EQ(st.full_step_gradient, flag);
+    EXPECT_EQ(st.x, (VecD{0.3, 0.4}));
+    EXPECT_EQ(st.function_evaluations, 9);
   }
   std::remove(path.c_str());
 }
@@ -388,13 +392,121 @@ TEST(FillSnapshot, SnapshotWithoutScheduleSectionStillLoads) {
       EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
     } else {
       ASSERT_TRUE(loaded.ok());
-      EXPECT_TRUE(loaded->sqp.full_step_gradient);
-      EXPECT_EQ(loaded->sqp.iteration, 4);
-      EXPECT_EQ(loaded->sqp.lbfgs_pairs.size(), 1u);
+      const SqpState& st = loaded->slots[0].state;
+      EXPECT_TRUE(st.full_step_gradient);
+      EXPECT_EQ(st.iteration, 4);
+      EXPECT_EQ(st.lbfgs_pairs.size(), 1u);
     }
   }
   std::remove(path.c_str());
   std::remove(old_path.c_str());
+}
+
+/// Three starts of two variables: start 0 in flight, 1 in flight, 2 pending,
+/// 3 done — a table only a concurrent drive leaves (version 2).
+FillSnapshot concurrent_snapshot() {
+  FillSnapshot snap = mid_sqp_snapshot(false);
+  snap.starts = {{0.1, 0.2}, {0.5, 0.6}, {0.7, 0.8}, {0.9, 0.1}};
+  snap.slots.resize(4);
+  snap.slots[1] = snap.slots[0];
+  snap.slots[1].state.iteration = 2;
+  snap.slots[1].state.full_step_gradient = true;
+  snap.slots[3].status = MspSlot::Status::kDone;
+  snap.slots[3].result.x = {0.25, 0.75};
+  snap.slots[3].result.f = -1.5;
+  snap.slots[3].result.iterations = 6;
+  snap.slots[3].result.function_evaluations = 8;
+  snap.slots[3].result.converged = true;
+  return snap;
+}
+
+TEST(FillSnapshot, SlotTableRoundTripsInTheLayoutItNeeds) {
+  const std::string path = ::testing::TempDir() + "fill_slots.nfcp";
+  // A done prefix with one start in flight keeps the version-1 layout...
+  FillSnapshot prefix = concurrent_snapshot();
+  prefix.slots[0].status = MspSlot::Status::kDone;
+  prefix.slots[0].result = prefix.slots[3].result;
+  prefix.slots[3] = MspSlot();
+  ASSERT_TRUE(save_fill_snapshot(prefix, path).ok());
+  {
+    const Expected<CheckpointReader> reader = CheckpointReader::open(path);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_TRUE(reader->has_section("completed"));
+    EXPECT_TRUE(reader->has_section("sqp"));
+    EXPECT_FALSE(reader->has_section("slots"));
+    const Expected<FillSnapshot> loaded = load_fill_snapshot(path);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->slots.size(), 4u);
+    EXPECT_EQ(loaded->slots[0].status, MspSlot::Status::kDone);
+    EXPECT_EQ(loaded->slots[1].status, MspSlot::Status::kInFlight);
+    EXPECT_EQ(loaded->slots[1].state.iteration, 2);
+    EXPECT_EQ(loaded->slots[2].status, MspSlot::Status::kPending);
+    EXPECT_EQ(loaded->slots[3].status, MspSlot::Status::kPending);
+  }
+  // ...any other table is written slot by slot.
+  const FillSnapshot snap = concurrent_snapshot();
+  ASSERT_TRUE(save_fill_snapshot(snap, path).ok());
+  const Expected<CheckpointReader> reader = CheckpointReader::open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader->has_section("slots"));
+  EXPECT_FALSE(reader->has_section("completed"));
+  const Expected<FillSnapshot> loaded = load_fill_snapshot(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->evaluations, 17);
+  EXPECT_EQ(loaded->starts, snap.starts);
+  ASSERT_EQ(loaded->slots.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(loaded->slots[i].status, snap.slots[i].status) << i;
+  for (const std::size_t i : {0u, 1u}) {
+    const SqpState& a = loaded->slots[i].state;
+    const SqpState& b = snap.slots[i].state;
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_EQ(a.g, b.g);
+    EXPECT_EQ(a.iteration, b.iteration);
+    EXPECT_EQ(a.function_evaluations, b.function_evaluations);
+    EXPECT_EQ(a.lbfgs_pairs, b.lbfgs_pairs);
+    EXPECT_EQ(a.full_step_gradient, b.full_step_gradient);
+  }
+  const SqpResult& r = loaded->slots[3].result;
+  EXPECT_EQ(r.x, (VecD{0.25, 0.75}));
+  EXPECT_EQ(r.f, -1.5);
+  EXPECT_EQ(r.iterations, 6);
+  EXPECT_EQ(r.function_evaluations, 8);
+  EXPECT_TRUE(r.converged);
+  std::remove(path.c_str());
+}
+
+TEST(FillSnapshot, DamagedSlotTableIsCorrupt) {
+  // The slot section carries a valid checksum but bad content: an unknown
+  // status, a truncated entry, trailing bytes, a missing section.
+  const std::string path = ::testing::TempDir() + "fill_slots_src.nfcp";
+  const std::string bad_path = ::testing::TempDir() + "fill_slots_bad.nfcp";
+  ASSERT_TRUE(save_fill_snapshot(concurrent_snapshot(), path).ok());
+  const Expected<CheckpointReader> reader = CheckpointReader::open(path);
+  ASSERT_TRUE(reader.ok());
+  const std::vector<char> slots = **reader->section("slots");
+  std::vector<char> unknown = slots;
+  unknown[0] = 7;  // status of slot 0
+  std::vector<char> truncated(slots.begin(), slots.end() - 4);
+  std::vector<char> trailing = slots;
+  trailing.push_back(0);
+  const std::vector<const std::vector<char>*> variants{&unknown, &truncated,
+                                                       &trailing, nullptr};
+  for (const std::vector<char>* damaged : variants) {
+    CheckpointWriter w;
+    for (const std::string& name : reader->section_names()) {
+      if (name != "slots")
+        w.add_section(name, **reader->section(name));
+      else if (damaged != nullptr)
+        w.add_section(name, *damaged);
+    }
+    ASSERT_TRUE(w.commit(bad_path).ok());
+    const Expected<FillSnapshot> loaded = load_fill_snapshot(bad_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
+  }
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,13 @@ UNetConfig small_config(bool group_norm) {
   cfg.use_group_norm = group_norm;
   return cfg;
 }
+
+/// A plane the fill runs: 24x24 windows at depth 3 gives the stages
+/// 24/12/6/3, where the 12-wide stage takes the packed GEMM.
+struct PlaneShape {
+  int depth, height, width;
+};
+constexpr PlaneShape kFillPlane{3, 24, 24};
 
 /// Autograd reference: the plain module forward on a batch-1 input.
 std::vector<float> module_forward(UNet& net, const std::vector<float>& input,
@@ -150,37 +158,47 @@ TEST(InferenceSession, ArenaReuseMatchesPrivateBuffers) {
 }
 
 TEST(InferenceSession, FusedMatchesUnfused) {
-  Rng rng(14);
-  UNet net(small_config(true), rng);
-  const int H = 16, W = 16;
-  InferenceOptions unfused;
-  unfused.fuse = false;
-  const InferenceSession fused(net, H, W);
-  const InferenceSession chain(net, H, W, unfused);
+  for (const PlaneShape shape : {PlaneShape{2, 16, 16}, kFillPlane}) {
+    Rng rng(14);
+    UNetConfig cfg = small_config(true);
+    cfg.depth = shape.depth;
+    UNet net(cfg, rng);
+    const int H = shape.height, W = shape.width;
+    InferenceOptions unfused;
+    unfused.fuse = false;
+    const InferenceSession fused(net, H, W);
+    const InferenceSession chain(net, H, W, unfused);
 
-  const auto input = random_input(3u * H * W, 105);
-  std::vector<float> a(static_cast<std::size_t>(H) * W), b(a.size());
-  fused.run(input.data(), a.data());
-  chain.run(input.data(), b.data());
-  EXPECT_TRUE(bitwise_equal(a.data(), b.data(), a.size()));
+    const auto input = random_input(3u * H * W, 105);
+    std::vector<float> a(static_cast<std::size_t>(H) * W), b(a.size());
+    fused.run(input.data(), a.data());
+    chain.run(input.data(), b.data());
+    EXPECT_TRUE(bitwise_equal(a.data(), b.data(), a.size())) << "W=" << W;
+  }
 }
 
 TEST(InferenceSession, BatchMatchesLoopedSingles) {
-  Rng rng(15);
-  UNet net(small_config(true), rng);
-  const int H = 16, W = 16, B = 3;
-  const std::size_t in_plane = 3u * H * W;
-  const std::size_t out_plane = static_cast<std::size_t>(H) * W;
-  const InferenceSession session(net, H, W);
+  for (const auto& [shape, B] :
+       {std::pair<PlaneShape, int>{{2, 16, 16}, 3}, {kFillPlane, 8}}) {
+    Rng rng(15);
+    UNetConfig cfg = small_config(true);
+    cfg.depth = shape.depth;
+    UNet net(cfg, rng);
+    const int H = shape.height, W = shape.width;
+    const std::size_t in_plane = 3u * H * W;
+    const std::size_t out_plane = static_cast<std::size_t>(H) * W;
+    const InferenceSession session(net, H, W);
 
-  const auto input = random_input(B * in_plane, 106);
-  std::vector<float> batched(B * out_plane);
-  session.run(input.data(), batched.data(), B);
+    const auto input = random_input(B * in_plane, 106);
+    std::vector<float> batched(B * out_plane);
+    session.run(input.data(), batched.data(), B);
 
-  std::vector<float> looped(B * out_plane);
-  for (int s = 0; s < B; ++s)
-    session.run(input.data() + s * in_plane, looped.data() + s * out_plane);
-  EXPECT_TRUE(bitwise_equal(batched.data(), looped.data(), batched.size()));
+    std::vector<float> looped(B * out_plane);
+    for (int s = 0; s < B; ++s)
+      session.run(input.data() + s * in_plane, looped.data() + s * out_plane);
+    EXPECT_TRUE(bitwise_equal(batched.data(), looped.data(), batched.size()))
+        << "W=" << W << " B=" << B;
+  }
 }
 
 TEST(InferenceSession, PrepackedWeightsMatchPackPerCall) {
@@ -301,36 +319,58 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
 
 TEST(InferenceSession, VjpMatchesTapeInputGradientBitwise) {
   // The session's reverse pass against Tensor::backward on the module
-  // forward: with and without group norm, at 1 and 4 threads.  The seed
-  // adjoint enters the tape as the grad of sum(y * dy), i.e. dy itself.
-  for (const bool gn : {true, false}) {
-    Rng rng(gn ? 41 : 42);
-    const UNetConfig cfg = small_config(gn);
-    UNet net(cfg, rng);
-    const int H = 12, W = 8;
-    const InferenceSession session(net, H, W);
-    const std::size_t in_n = static_cast<std::size_t>(cfg.in_channels) * H * W;
-    const auto input = random_input(in_n, 7);
-    const auto d_out = random_input(static_cast<std::size_t>(H) * W, 8);
+  // forward: with and without group norm, on a 12x8 plane and on the fill's
+  // 24x24 depth-3 plane, at 1 and 4 threads.  The seed adjoint enters the
+  // tape as the grad of sum(y * dy), i.e. dy itself.
+  for (const PlaneShape shape : {PlaneShape{2, 12, 8}, kFillPlane}) {
+    for (const bool gn : {true, false}) {
+      Rng rng(gn ? 41 : 42);
+      UNetConfig cfg = small_config(gn);
+      cfg.depth = shape.depth;
+      UNet net(cfg, rng);
+      const int H = shape.height, W = shape.width;
+      const InferenceSession session(net, H, W);
+      const std::size_t in_n =
+          static_cast<std::size_t>(cfg.in_channels) * H * W;
+      const auto input = random_input(in_n, 7);
+      const auto d_out = random_input(static_cast<std::size_t>(H) * W, 8);
 
-    const Tensor x = Tensor::from_data({1, cfg.in_channels, H, W}, input, true);
-    const Tensor y = net.forward(x);
-    const Tensor dy = Tensor::from_data({1, 1, H, W}, d_out);
-    nn::sum(nn::mul(y, dy)).backward();
+      const Tensor x =
+          Tensor::from_data({1, cfg.in_channels, H, W}, input, true);
+      const Tensor y = net.forward(x);
+      const Tensor dy = Tensor::from_data({1, 1, H, W}, d_out);
+      nn::sum(nn::mul(y, dy)).backward();
 
-    for (const int threads : {1, 4}) {
-      runtime::set_thread_count(threads);
-      InferenceSession::SavedActivations saved;
-      std::vector<float> out(static_cast<std::size_t>(H) * W);
-      std::vector<float> d_in(in_n);
-      session.run_saving(input.data(), out.data(), saved);
-      session.vjp(saved, d_out.data(), d_in.data());
-      EXPECT_TRUE(bitwise_equal(out.data(), y.data(), out.size()));
-      EXPECT_TRUE(bitwise_equal(d_in.data(), x.grad(), in_n))
-          << "gn=" << gn << " threads=" << threads;
+      for (const int threads : {1, 4}) {
+        runtime::set_thread_count(threads);
+        InferenceSession::SavedActivations saved;
+        std::vector<float> out(static_cast<std::size_t>(H) * W);
+        std::vector<float> d_in(in_n);
+        session.run_saving(input.data(), out.data(), saved);
+        session.vjp(saved, d_out.data(), d_in.data());
+        EXPECT_TRUE(bitwise_equal(out.data(), y.data(), out.size()));
+        EXPECT_TRUE(bitwise_equal(d_in.data(), x.grad(), in_n))
+            << "W=" << W << " gn=" << gn << " threads=" << threads;
+      }
+      runtime::set_thread_count(0);
     }
-    runtime::set_thread_count(0);
   }
+}
+
+TEST(InferenceSession, SavedPassKeepsOnlyTheAdjointOperands) {
+  // run_saving records the pre-norm outputs, statistics, ReLU masks and
+  // pool argmax; every other value stays in the arena, so the record is
+  // smaller than the values of one pass put together.
+  Rng rng(43);
+  UNetConfig cfg = small_config(true);
+  cfg.depth = kFillPlane.depth;
+  UNet net(cfg, rng);
+  InferenceOptions priv;
+  priv.reuse_buffers = false;  // every value in a block of its own
+  const InferenceSession session(net, kFillPlane.height, kFillPlane.width,
+                                 priv);
+  EXPECT_LT(session.saved_bytes(),
+            session.arena_floats_per_sample() * sizeof(float));
 }
 
 ::testing::AssertionResult grids_bitwise_equal(const std::vector<GridD>& a,

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "fill/neurfill.hpp"
 #include "fill/report.hpp"
+#include "fill/snapshot.hpp"
 #include "geom/designs.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/trainer.hpp"
@@ -207,32 +209,238 @@ TEST_F(NeurFillPipeline, PkbMatchesTapeOracleAcrossThreadCounts) {
   runtime::set_thread_count(0);  // restore the environment default
 }
 
-TEST_F(NeurFillPipeline, MmIsBitwiseDeterministicAcrossThreadCounts) {
-  // The MM flow (batched NMMSO moves, batched PKB sweep, SQP gradients
-  // through the session VJP) gives the same fill and evaluation count at
-  // 1, 2, and 8 threads.
+/// Small MM budget whose MSP drive has more than 4 starts.
+NeurFillOptions small_mm_options() {
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
   opt.pkb_steps = 4;
   opt.nmmso.max_evaluations = 30;
   opt.mm_starts = 2;
-  std::vector<VecD> fills;
-  std::vector<long> evals;
-  for (const int threads : {1, 2, 8}) {
+  return opt;
+}
+
+::testing::AssertionResult same_fill(const std::vector<GridD>& a,
+                                     const std::vector<GridD>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << "layer count differs";
+  for (std::size_t l = 0; l < a.size(); ++l)
+    if (a[l].size() != b[l].size() ||
+        std::memcmp(a[l].data(), b[l].data(), a[l].size() * sizeof(double)) !=
+            0)
+      return ::testing::AssertionFailure() << "layer " << l << " differs";
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(NeurFillPipeline, MmIsBitwiseDeterministicAcrossThreadCounts) {
+  // The MM flow (batched NMMSO moves, batched PKB sweep, concurrent MSP-SQP
+  // starts with gradients through the session VJP) gives the same fill,
+  // evaluation count and iterations at 1, 2, 4 and 8 threads (the start
+  // list outnumbers the workers up to 4 threads).
+  const NeurFillOptions opt = small_mm_options();
+  const std::string snap = ::testing::TempDir() + "neurfill_mm_threads.nfcp";
+  std::vector<FillRunResult> runs;
+  for (const int threads : {1, 2, 4, 8}) {
     runtime::set_thread_count(threads);
-    const FillRunResult res = neurfill_mm(*problem_, *network_, opt);
-    fills.push_back(problem_->flatten(res.x));
-    evals.push_back(res.objective_evaluations);
+    NeurFillOptions sopt = opt;
+    sopt.snapshot_path = snap;
+    sopt.snapshot_every = 1000;  // the final table only, in effect
+    runs.push_back(neurfill_mm(*problem_, *network_, sopt));
+    const Expected<FillSnapshot> table = load_fill_snapshot(snap);
+    ASSERT_TRUE(table.ok());
+    EXPECT_GT(table->starts.size(), 4u);
+    for (const MspSlot& slot : table->slots)
+      EXPECT_EQ(slot.status, MspSlot::Status::kDone) << threads;
+    EXPECT_EQ(table->evaluations, runs.back().objective_evaluations);
   }
   runtime::set_thread_count(0);
-  for (std::size_t r = 1; r < fills.size(); ++r) {
-    EXPECT_EQ(evals[r], evals[0]);
-    ASSERT_EQ(fills[0].size(), fills[r].size());
-    EXPECT_EQ(std::memcmp(fills[0].data(), fills[r].data(),
-                          fills[0].size() * sizeof(double)),
-              0)
-        << "run " << r;
+  std::remove(snap.c_str());
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(runs[r].objective_evaluations, runs[0].objective_evaluations);
+    EXPECT_EQ(runs[r].iterations, runs[0].iterations);
+    EXPECT_TRUE(same_fill(runs[r].x, runs[0].x)) << "run " << r;
   }
+}
+
+/// The loop-top state start `x0` reaches at SQP iteration `iteration` of
+/// the drive's per-start options.
+SqpState state_at(const ObjectiveFn& obj, const VecD& x0, const Box& box,
+                  SqpOptions so, int iteration) {
+  struct Reached {};
+  SqpState captured;
+  so.checkpoint_hook = [&](const SqpState& st) {
+    if (st.iteration == iteration) {
+      captured = st;
+      throw Reached{};
+    }
+  };
+  try {
+    sqp_minimize(obj, x0, box, so);
+  } catch (const Reached&) {
+  }
+  return captured;
+}
+
+/// Version-1 snapshot bytes, written field by field: a completed prefix of
+/// the start list and at most one start in flight.
+void write_version1_snapshot(const FillSnapshot& snap, std::size_t n_done,
+                             bool in_flight, const std::string& path) {
+  CheckpointWriter w;
+  ByteWriter meta;
+  meta.u32(1);
+  meta.str(snap.method);
+  meta.u64(snap.dims);
+  meta.i64(snap.evaluations);
+  meta.u32(static_cast<std::uint32_t>(snap.starts.size()));
+  meta.u32(static_cast<std::uint32_t>(n_done));
+  meta.u32(in_flight ? 1u : 0u);
+  w.add_section("meta", meta.take());
+  ByteWriter starts;
+  for (const VecD& s : snap.starts) starts.f64_vec(s);
+  w.add_section("starts", starts.take());
+  ByteWriter done;
+  for (std::size_t i = 0; i < n_done; ++i) {
+    const SqpResult& r = snap.slots[i].result;
+    done.f64_vec(r.x);
+    done.f64(r.f);
+    done.u32(static_cast<std::uint32_t>(r.iterations));
+    done.u32(static_cast<std::uint32_t>(r.function_evaluations));
+    done.u32((r.converged ? 1u : 0u) | (r.timed_out ? 2u : 0u) |
+             (r.poisoned ? 4u : 0u));
+    done.u32(static_cast<std::uint32_t>(r.numeric_recoveries));
+  }
+  w.add_section("completed", done.take());
+  if (in_flight) {
+    const SqpState& st = snap.slots[n_done].state;
+    ByteWriter b;
+    b.f64_vec(st.x);
+    b.f64_vec(st.g);
+    b.f64(st.f);
+    b.u32(static_cast<std::uint32_t>(st.iteration));
+    b.u32(static_cast<std::uint32_t>(st.function_evaluations));
+    b.f64(st.lbfgs_sigma);
+    b.u32(static_cast<std::uint32_t>(st.lbfgs_pairs.size()));
+    for (const auto& [sv, yv] : st.lbfgs_pairs) {
+      b.f64_vec(sv);
+      b.f64_vec(yv);
+    }
+    w.add_section("sqp", b.take());
+    ByteWriter ls;
+    ls.u32(st.full_step_gradient ? 1u : 0u);
+    w.add_section("sqp_schedule", ls.take());
+  }
+  ASSERT_TRUE(w.commit(path).ok());
+}
+
+TEST_F(NeurFillPipeline, MmResumesFromSlotTablesOfEitherVersion) {
+  // Tables built from the drive's own per-start runs: one with two starts
+  // in flight and the rest pending (version 2), and a completed prefix with
+  // one start in flight written in the version-1 layout.  Resuming either
+  // at 4 threads gives the uninterrupted fill, evaluation count and
+  // iterations.
+  NeurFillOptions opt = small_mm_options();
+  opt.sqp.max_iterations = 6;
+  const std::string full_snap = ::testing::TempDir() + "neurfill_mm_full.nfcp";
+  const std::string snap = ::testing::TempDir() + "neurfill_mm_slots.nfcp";
+  NeurFillOptions fopt = opt;
+  fopt.snapshot_path = full_snap;
+  fopt.snapshot_every = 1000;
+  const FillRunResult full = neurfill_mm(*problem_, *network_, fopt);
+  const Expected<FillSnapshot> done = load_fill_snapshot(full_snap);
+  ASSERT_TRUE(done.ok());
+  ASSERT_GE(done->starts.size(), 4u);
+  long pre_drive = done->evaluations;
+  for (const MspSlot& slot : done->slots)
+    pre_drive -= slot.result.function_evaluations;
+
+  const ObjectiveFn obj = make_network_objective(*problem_, *network_);
+  const Box box = problem_->bounds();
+  FillSnapshot table = *done;
+  table.slots.assign(table.starts.size(), MspSlot());
+  table.slots[0] = done->slots[0];
+  for (const std::size_t i : {1u, 2u}) {
+    table.slots[i].status = MspSlot::Status::kInFlight;
+    table.slots[i].state =
+        state_at(obj, table.starts[i], box, opt.sqp, static_cast<int>(i));
+    ASSERT_EQ(table.slots[i].state.iteration, static_cast<int>(i));
+  }
+  table.evaluations = pre_drive + table.slots[0].result.function_evaluations +
+                      table.slots[1].state.function_evaluations +
+                      table.slots[2].state.function_evaluations;
+
+  runtime::set_thread_count(4);
+  for (const int version : {2, 1}) {
+    if (version == 2) {
+      ASSERT_TRUE(save_fill_snapshot(table, snap).ok());
+      const Expected<CheckpointReader> reader = CheckpointReader::open(snap);
+      ASSERT_TRUE(reader.ok());
+      EXPECT_TRUE(reader->has_section("slots"));
+    } else {
+      table.slots[2] = MspSlot();
+      table.evaluations = pre_drive +
+                          table.slots[0].result.function_evaluations +
+                          table.slots[1].state.function_evaluations;
+      write_version1_snapshot(table, 1, true, snap);
+    }
+    NeurFillOptions ropt = opt;
+    ropt.snapshot_path = snap;
+    ropt.resume = true;
+    const FillRunResult resumed = neurfill_mm(*problem_, *network_, ropt);
+    EXPECT_TRUE(same_fill(resumed.x, full.x)) << "version " << version;
+    EXPECT_EQ(resumed.objective_evaluations, full.objective_evaluations)
+        << "version " << version;
+    EXPECT_EQ(resumed.iterations, full.iterations) << "version " << version;
+  }
+  runtime::set_thread_count(0);
+  std::remove(full_snap.c_str());
+  std::remove(snap.c_str());
+}
+
+TEST_F(NeurFillPipeline, InterruptedConcurrentMmResumesByteIdentical) {
+  // SIGINT during the concurrent drive: a watcher raises the interrupt as
+  // soon as the start list is on disk, so the starts that are running stop
+  // at their next loop top.  The snapshot the drive leaves resumes to the
+  // uninterrupted fill.
+  NeurFillOptions opt = small_mm_options();
+  opt.sqp.max_iterations = 8;
+  runtime::set_thread_count(4);
+  const FillRunResult full = neurfill_mm(*problem_, *network_, opt);
+
+  const std::string snap = ::testing::TempDir() + "neurfill_mm_sigint.nfcp";
+  std::remove(snap.c_str());
+  std::atomic<bool> stop{false};
+  std::atomic<bool> finished{false};
+  std::thread watcher([&] {
+    while (!finished.load()) {
+      if (std::ifstream(snap).good()) {
+        stop.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  NeurFillOptions iopt = opt;
+  iopt.snapshot_path = snap;
+  iopt.snapshot_every = 1000;
+  iopt.interrupt = &stop;
+  bool interrupted = false;
+  try {
+    neurfill_mm(*problem_, *network_, iopt);
+  } catch (const ErrorException& e) {
+    interrupted = e.err.code == ErrorCode::kInterrupted;
+  }
+  finished.store(true);
+  watcher.join();
+  EXPECT_TRUE(interrupted);
+
+  NeurFillOptions ropt = opt;
+  ropt.snapshot_path = snap;
+  ropt.resume = true;
+  const FillRunResult resumed = neurfill_mm(*problem_, *network_, ropt);
+  runtime::set_thread_count(0);
+  EXPECT_TRUE(same_fill(resumed.x, full.x));
+  EXPECT_EQ(resumed.objective_evaluations, full.objective_evaluations);
+  EXPECT_EQ(resumed.iterations, full.iterations);
+  std::remove(snap.c_str());
 }
 
 TEST_F(NeurFillPipeline, ConcurrentGradientsMatchSerialBitwise) {

@@ -1,14 +1,19 @@
 // Tests for the optimization substrate: box-QP, L-BFGS Hessian, SQP, MSP.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/deadline.hpp"
 #include "opt/box_qp.hpp"
+#include "opt/msp.hpp"
 #include "opt/sqp.hpp"
+#include "runtime/parallel.hpp"
 
 namespace neurfill {
 namespace {
@@ -427,12 +432,175 @@ TEST(MspSqp, PicksBestBasinOfMultimodal) {
     return v * v + 0.1 * x[0];
   };
   const std::vector<VecD> starts{{0.9}, {-0.9}, {1.5}};
-  const auto results = msp_sqp_minimize(f, starts, make_box(1, -2.0, 2.0));
+  const auto results =
+      msp_sqp_minimize(f, starts, make_box(1, -2.0, 2.0)).results;
   ASSERT_EQ(results.size(), 3u);
   // Sorted best first; best basin is x ~ -1.
   EXPECT_LT(results[0].x[0], 0.0);
   EXPECT_LE(results[0].f, results[1].f);
   EXPECT_LE(results[1].f, results[2].f);
+}
+
+/// A bumpy 6-D landscape whose starts take different iteration counts, so
+/// concurrent starts finish out of order.
+double bumpy(const VecD& x, VecD* grad) {
+  double v = 0.0;
+  if (grad) grad->assign(x.size(), 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double c = 0.1 * static_cast<double>(i);
+    v += (x[i] - c) * (x[i] - c) + 0.3 * std::sin(5.0 * x[i]);
+    if (grad) (*grad)[i] = 2.0 * (x[i] - c) + 1.5 * std::cos(5.0 * x[i]);
+  }
+  return v;
+}
+
+std::vector<VecD> bumpy_starts(int count) {
+  Rng rng(29);
+  std::vector<VecD> starts(static_cast<std::size_t>(count), VecD(6));
+  for (VecD& s : starts)
+    for (double& v : s) v = rng.uniform(-2.0, 2.0);
+  return starts;
+}
+
+/// `bumpy`, counting its calls.
+ObjectiveFn counted_bumpy(std::atomic<long>* calls) {
+  return [calls](const VecD& x, VecD* grad) {
+    calls->fetch_add(1);
+    return bumpy(x, grad);
+  };
+}
+
+/// Objective calls a slot table already accounts for.
+long recorded_calls(const std::vector<MspSlot>& slots) {
+  long calls = 0;
+  for (const MspSlot& slot : slots) {
+    if (slot.status == MspSlot::Status::kDone)
+      calls += slot.result.function_evaluations;
+    else if (slot.status == MspSlot::Status::kInFlight)
+      calls += slot.state.function_evaluations;
+  }
+  return calls;
+}
+
+long total_calls(const MspOutcome& out) {
+  long calls = 0;
+  for (const SqpResult& r : out.results) calls += r.function_evaluations;
+  return calls;
+}
+
+::testing::AssertionResult same_results(const std::vector<SqpResult>& a,
+                                        const std::vector<SqpResult>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << a.size() << " vs " << b.size();
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].x.size() != b[k].x.size() ||
+        std::memcmp(a[k].x.data(), b[k].x.data(),
+                    a[k].x.size() * sizeof(double)) != 0 ||
+        std::memcmp(&a[k].f, &b[k].f, sizeof(double)) != 0 ||
+        a[k].iterations != b[k].iterations ||
+        a[k].function_evaluations != b[k].function_evaluations)
+      return ::testing::AssertionFailure() << "result " << k << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MspSqp, ConcurrentStartsMatchTheSerialDriveBitwise) {
+  // More starts than workers: results, evaluation counts and iterations are
+  // the serial drive's at every thread count.
+  const std::vector<VecD> starts = bumpy_starts(11);
+  const Box box = make_box(6, -2.0, 2.0);
+  runtime::set_thread_count(1);
+  const MspOutcome serial = msp_sqp_minimize(bumpy, starts, box);
+  ASSERT_EQ(serial.results.size(), starts.size());
+  for (const int threads : {2, 4, 8}) {
+    runtime::set_thread_count(threads);
+    const MspOutcome concurrent = msp_sqp_minimize(bumpy, starts, box);
+    EXPECT_TRUE(same_results(concurrent.results, serial.results))
+        << threads << " threads";
+  }
+  runtime::set_thread_count(0);
+  for (std::size_t k = 1; k < serial.results.size(); ++k)
+    EXPECT_LE(serial.results[k - 1].f, serial.results[k].f);
+}
+
+TEST(MspSqp, ResumedSlotTableContinuesBitwise) {
+  // Capture the table mid-drive (a done prefix, one start in flight, the
+  // rest pending), then mid-drive at 4 threads (several in flight); either
+  // table continues to the uninterrupted results at 4 threads, making only
+  // the calls the table does not already account for (in-flight starts
+  // continue from their state instead of starting over).
+  const std::vector<VecD> starts = bumpy_starts(7);
+  const Box box = make_box(6, -2.0, 2.0);
+  const MspOutcome full = msp_sqp_minimize(bumpy, starts, box);
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    std::vector<MspSlot> captured;
+    MspOptions mo;
+    mo.on_update = [&](const std::vector<MspSlot>& slots, std::size_t,
+                       long loop_top) {
+      if (loop_top == 9) captured = slots;
+    };
+    const MspOutcome recorded = msp_sqp_minimize(bumpy, starts, box, mo);
+    EXPECT_TRUE(same_results(recorded.results, full.results));
+    ASSERT_EQ(captured.size(), starts.size()) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(captured.back().status, MspSlot::Status::kPending);
+    }
+    runtime::set_thread_count(4);
+    std::atomic<long> calls{0};
+    const MspOutcome resumed = msp_sqp_minimize(
+        counted_bumpy(&calls), starts, box, MspOptions(), captured);
+    EXPECT_TRUE(same_results(resumed.results, full.results))
+        << "captured at " << threads << " threads";
+    EXPECT_GT(recorded_calls(captured), 0);
+    EXPECT_EQ(calls.load(), total_calls(full) - recorded_calls(captured));
+  }
+  runtime::set_thread_count(0);
+}
+
+TEST(MspSqp, StopLeavesRunningStartsInFlight) {
+  // A stop request raised at a loop top: every running start stops at its
+  // next loop top, pending starts do not begin, and the table resumes to
+  // the uninterrupted results.
+  const std::vector<VecD> starts = bumpy_starts(9);
+  const Box box = make_box(6, -2.0, 2.0);
+  const MspOutcome full = msp_sqp_minimize(bumpy, starts, box);
+  runtime::set_thread_count(4);
+  std::atomic<bool> stop{false};
+  MspOptions mo;
+  mo.stop = &stop;
+  mo.on_update = [&](const std::vector<MspSlot>&, std::size_t, long loop_top) {
+    if (loop_top == 3) stop.store(true);
+  };
+  const MspOutcome stopped = msp_sqp_minimize(bumpy, starts, box, mo);
+  EXPECT_TRUE(stopped.stopped);
+  std::size_t open = 0;
+  for (const MspSlot& slot : stopped.slots)
+    open += slot.status != MspSlot::Status::kDone ? 1 : 0;
+  EXPECT_GT(open, 0u);
+  std::atomic<long> calls{0};
+  const MspOutcome resumed = msp_sqp_minimize(
+      counted_bumpy(&calls), starts, box, MspOptions(), stopped.slots);
+  EXPECT_FALSE(resumed.stopped);
+  EXPECT_TRUE(same_results(resumed.results, full.results));
+  EXPECT_EQ(calls.load(), total_calls(full) - recorded_calls(stopped.slots));
+  runtime::set_thread_count(0);
+}
+
+TEST(MspSqp, ExpiredDeadlineRunsOnlyTheFirstOpenStart) {
+  const std::vector<VecD> starts = bumpy_starts(5);
+  const Box box = make_box(6, -2.0, 2.0);
+  runtime::set_thread_count(4);
+  MspOptions mo;
+  mo.sqp.deadline = Deadline::after_seconds(0.0);
+  const MspOutcome out = msp_sqp_minimize(bumpy, starts, box, mo);
+  runtime::set_thread_count(0);
+  EXPECT_TRUE(out.timed_out);
+  ASSERT_EQ(out.results.size(), 1u);
+  EXPECT_TRUE(out.results[0].timed_out);
+  EXPECT_EQ(out.slots[0].status, MspSlot::Status::kDone);
+  for (std::size_t i = 1; i < out.slots.size(); ++i)
+    EXPECT_EQ(out.slots[i].status, MspSlot::Status::kPending);
 }
 
 TEST(NumericalGradient, MatchesAnalytic) {

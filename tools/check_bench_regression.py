@@ -21,6 +21,9 @@ Gated keys, higher is better:
                             through the batched candidate pipeline
                             (bench_fill_throughput; one session run per
                             layer for the whole NMMSO move batch)
+  msp_speedup_4t          -- a 4-start MSP-SQP drive at 24x24 windows, 1
+                            thread over 4 threads (bench_fill_throughput):
+                            the starts run concurrently
   serve_jobs_per_s        -- end-to-end jobs per second through the
                             nf_serve daemon machinery (bench_serve: submit
                             -> journal -> worker -> artifact -> status,
@@ -42,6 +45,9 @@ Gated keys, lower is better:
                              network, 16x16 windows x 3 layers
                              (bench_fill_throughput): what an accepted SQP
                              step costs
+  sqp_grad_ms_24w         -- the same call at 24x24 windows x 3 layers,
+                             whose UNet has a 12-wide stage (the fill
+                             benchmark's plane)
   serve_p99_ms            -- p99 ping round-trip latency against a live
                              daemon (bench_serve); what any client pays to
                              talk to the daemon at all
@@ -60,10 +66,12 @@ import sys
 
 GATED_KEYS_HIGHER = ("gemm_gflops_1t", "gemm_speedup_4t",
                      "conv2d_fwd_speedup_4t", "infer_vs_autograd_speedup",
-                     "fill_evals_per_s", "serve_jobs_per_s")
+                     "fill_evals_per_s", "msp_speedup_4t",
+                     "serve_jobs_per_s")
 GATED_KEYS_LOWER = ("fullchip_tile_ms", "fullchip_stitch_passes",
                     "unet_infer_ms_1t", "unet_infer_b8_ms_per_sample",
-                    "unet_vjp_ms_1t", "sqp_grad_ms", "serve_p99_ms")
+                    "unet_vjp_ms_1t", "sqp_grad_ms", "sqp_grad_ms_24w",
+                    "serve_p99_ms")
 
 
 def main() -> int:
