@@ -4,16 +4,12 @@
 // surrogate loading with a quick-train fallback when the cached artifact
 // (data/unet_cmp, produced by examples/train_surrogate) is absent.
 
-#include <cstdio>
-#include <exception>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
-#include "fill/neurfill.hpp"
-#include "fill/problem.hpp"
+#include "fill/pipeline.hpp"
 #include "geom/designs.hpp"
-#include "surrogate/cmp_network.hpp"
-#include "surrogate/trainer.hpp"
 
 namespace neurfill::bench {
 
@@ -29,40 +25,26 @@ struct ProblemBundle {
   std::unique_ptr<CmpNetwork> network;
 };
 
+/// The surrogate at surrogate_prefix(), quick-trained on `ext` when none
+/// exists there; a corrupt one stops the bench.
 inline std::shared_ptr<CmpSurrogate> load_or_quick_train(
     const WindowExtraction& ext, const CmpSimulator& sim) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded =
-      load_surrogate(surrogate_prefix());
-  if (loaded.ok()) return std::move(*loaded);
-  std::printf("note: cached surrogate unavailable (%s); quick-training a "
-              "reduced one (results will be weaker than with "
-              "examples/train_surrogate output)\n",
-              loaded.error().to_string().c_str());
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 8;
-  cfg.unet.depth = 2;
-  auto s = std::make_shared<CmpSurrogate>(cfg, 5);
-  TrainingDataGenerator gen({ext}, sim, 17, 4);
-  TrainOptions opt;
-  opt.epochs = 6;
-  opt.dataset_size = 60;
-  opt.grid_rows = ext.rows;
-  opt.grid_cols = ext.cols;
-  train_surrogate(*s, gen, opt);
-  return s;
+  Expected<std::shared_ptr<CmpSurrogate>> s =
+      neurfill::load_or_quick_train(surrogate_prefix(), ext, sim);
+  if (!s.ok()) throw ErrorException(s.error());
+  return std::move(*s);
 }
 
 inline ProblemBundle make_bundle(char design, int windows,
                                  std::uint64_t seed = 1) {
   Layout layout = make_design(design, windows, 100.0, seed);
-  WindowExtraction ext = extract_windows(layout);
-  CmpSimulator sim;
-  ScoreCoefficients coeffs = make_coefficients(layout, ext, sim);
-  ProblemBundle b{std::move(layout), FillProblem(ext, sim, coeffs), nullptr,
-                  nullptr};
-  b.surrogate = load_or_quick_train(b.problem.extraction(), sim);
-  b.network = std::make_unique<CmpNetwork>(b.surrogate, b.problem.extraction(),
-                                           coeffs);
+  FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  ProblemBundle b{std::move(layout), std::move(problem), nullptr, nullptr};
+  b.surrogate =
+      load_or_quick_train(b.problem.extraction(), b.problem.simulator());
+  b.network = std::make_unique<CmpNetwork>(
+      b.surrogate, b.problem.extraction(), b.problem.coefficients());
   calibrate_network(*b.network, b.problem);  // two-anchor simulator fit
   return b;
 }

@@ -60,10 +60,9 @@ struct FullChipOptions {
   /// Per-tile solve budgets (deadline/snapshot/interrupt fields are managed
   /// by the driver; set sqp/nmmso/pkb knobs here).
   NeurFillOptions fill;
-  /// Called once per pkb/mm tile solve, concurrently: each tile needs its
-  /// own surrogate instance because a forward/backward pass accumulates
-  /// gradients in the network it runs through.  Typical implementation:
-  /// load_surrogate(prefix).
+  /// Called once per pkb/mm tile solve, concurrently.  A fill pass writes
+  /// no state into the surrogate, so the factory may hand every tile the
+  /// same instance (nf_fill does) or load a fresh one per call.
   std::function<std::shared_ptr<const CmpSurrogate>()> surrogate_factory;
   const std::atomic<bool>* interrupt = nullptr;
 };
@@ -83,6 +82,12 @@ struct FullChipResult {
   bool degraded = false;
   long evaluations = 0;
 };
+
+/// The tile decomposition fullchip_fill() runs over: the chip window grid
+/// of `index` cut into `options.tile_windows` tiles with the configured (or
+/// planarization-derived) halo.
+TileGrid make_tile_grid(const GlfRegionIndex& index,
+                        const FullChipOptions& options);
 
 /// Cuts one tile's geometry out of the indexed full-chip GLF: every record
 /// intersecting the halo region, *unclipped*, shifted so the halo's corner

@@ -9,11 +9,10 @@
 #include "common/checkpoint.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
-#include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "geom/glf_io.hpp"
 #include "layout/fill_insertion.hpp"
 #include "obs/metrics.hpp"
-#include "surrogate/trainer.hpp"
 
 namespace neurfill::serve {
 namespace {
@@ -76,33 +75,14 @@ std::size_t JobRunner::surrogate_cache_size() const {
   }
   NF_COUNTER_ADD("serve.surrogate_cache_misses", 1);
 
-  std::shared_ptr<CmpSurrogate> surrogate;
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) {
-    surrogate = std::move(*loaded);
-  } else if (loaded.error().code != ErrorCode::kNotFound) {
-    // Present but unreadable/corrupt weights are a hard input error.
-    return loaded.error();
-  } else {
-    // The documented quick-train fallback: a reduced surrogate trained on
-    // the fly, deterministic (fixed seed + the deterministic pool), so
-    // every daemon restart re-derives the same weights.
-    LOG_WARN("serve.runner: no surrogate at '%s'; training a reduced one",
-             prefix.c_str());
-    SurrogateConfig cfg;
-    cfg.unet.base_channels = 8;
-    cfg.unet.depth = 2;
-    surrogate = std::make_shared<CmpSurrogate>(cfg, 5);
-    TrainingDataGenerator gen({ext}, sim, 17, 4);
-    TrainOptions opt;
-    opt.epochs = opts_.quicktrain_epochs;
-    opt.dataset_size = opts_.quicktrain_dataset;
-    opt.grid_rows = ext.rows;
-    opt.grid_cols = ext.cols;
-    train_surrogate(*surrogate, gen, opt);
-  }
+  // A missing surrogate falls back to the deterministic quick-train, so
+  // every daemon restart re-derives the same weights; present but corrupt
+  // weights are a hard input error.
+  Expected<std::shared_ptr<CmpSurrogate>> surrogate =
+      load_or_quick_train(prefix, ext, sim);
+  if (!surrogate.ok()) return surrogate;
   std::lock_guard<std::mutex> lock(cache_m_);
-  cache_[key] = CachedSurrogate{mtime, size, hash, surrogate};
+  cache_[key] = CachedSurrogate{mtime, size, hash, *surrogate};
   return surrogate;
 }
 
@@ -122,47 +102,24 @@ std::size_t JobRunner::surrogate_cache_size() const {
     Layout layout = read_glf_file(spec.design);
     ExtractOptions eopt;
     eopt.window_um = spec.window_um;
-    const WindowExtraction ext = extract_windows(layout, eopt);
-    CmpProcessParams params;
-    params.window_um = eopt.window_um;
-    CmpSimulator sim(params);
-    const ScoreCoefficients coeffs = make_coefficients(layout, ext, sim);
-    FillProblem problem(ext, sim, coeffs);
+    const FillProblem problem =
+        make_fill_problem(layout, eopt, CmpProcessParams());
 
-    FillRunResult result;
-    if (spec.method == "lin") {
-      result = lin_rule_fill(problem);
-    } else if (spec.method == "tao") {
-      TaoOptions topt;
-      topt.sqp.deadline = deadline;
-      if (opts_.sqp_max_iterations > 0)
-        topt.sqp.max_iterations = opts_.sqp_max_iterations;
-      result = tao_rule_sqp(problem, topt);
-    } else if (spec.method == "cai") {
-      CaiOptions copt;
-      copt.sqp.deadline = deadline;
-      if (opts_.sqp_max_iterations > 0)
-        copt.sqp.max_iterations = opts_.sqp_max_iterations;
-      result = cai_model_fill(problem, copt);
-    } else {  // pkb or mm
+    std::shared_ptr<const CmpSurrogate> surrogate;
+    NeurFillOptions nopt;
+    nopt.deadline = deadline;
+    if (fill_method_needs_surrogate(spec.method)) {
       const std::string prefix =
           spec.surrogate.empty() ? opts_.default_surrogate : spec.surrogate;
-      Expected<std::shared_ptr<CmpSurrogate>> surrogate =
-          surrogate_for(prefix, ext, sim);
-      if (!surrogate.ok()) return surrogate.error();
-      CmpNetwork network(*surrogate, ext, coeffs);
-      calibrate_network(network, problem);
-      NeurFillOptions nopt;
-      nopt.deadline = deadline;
+      Expected<std::shared_ptr<CmpSurrogate>> loaded =
+          surrogate_for(prefix, problem.extraction(), problem.simulator());
+      if (!loaded.ok()) return loaded.error();
+      surrogate = *loaded;
       nopt.snapshot_path = snapshot_path;
       nopt.snapshot_every = opts_.snapshot_every;
       nopt.interrupt = interrupt;
-      if (opts_.sqp_max_iterations > 0)
-        nopt.sqp.max_iterations = opts_.sqp_max_iterations;
-      if (opts_.pkb_steps > 0) nopt.pkb_steps = opts_.pkb_steps;
       if (opts_.nmmso_max_evaluations > 0)
         nopt.nmmso.max_evaluations = opts_.nmmso_max_evaluations;
-      if (opts_.mm_starts > 0) nopt.mm_starts = opts_.mm_starts;
       if (!snapshot_path.empty()) {
         // Resume from an earlier attempt's snapshot when one exists; a
         // snapshot that fails CRC validation is quarantined and the solve
@@ -183,12 +140,12 @@ std::size_t JobRunner::surrogate_cache_size() const {
           }
         }
       }
-      result = spec.method == "pkb" ? neurfill_pkb(problem, network, nopt)
-                                    : neurfill_mm(problem, network, nopt);
     }
+    const FillRunResult result = run_fill_method(
+        problem, spec.method, surrogate, nopt, opts_.sqp_max_iterations);
 
     JobOutcome outcome;
-    outcome.dummies = insert_dummies(layout, ext, result.x);
+    outcome.dummies = insert_dummies(layout, problem.extraction(), result.x);
     write_glf_file(spec.out, layout);
     outcome.runtime_s = result.runtime_s;
     outcome.evaluations = result.objective_evaluations;

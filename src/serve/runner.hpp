@@ -3,7 +3,8 @@
 // Job execution for the nf_serve daemon: one JobRecord in, one fill
 // artifact out (docs/serving.md).
 //
-// The runner mirrors the nf_fill tool path — read GLF, extract windows,
+// The runner drives the shared fill pipeline (fill/pipeline.hpp) that
+// nf_fill and the full-chip tile solve use — read GLF, set up the problem,
 // solve with the requested method, insert dummies, write the output
 // atomically — with the daemon-grade robustness wrapped around it:
 //  * pkb/mm solves snapshot to the journal-adjacent `<id>.snap` path and
@@ -46,13 +47,7 @@ struct RunnerOptions {
   /// Optimization budget overrides, 0 = library default.  Tests and the
   /// serve bench shrink these so a job takes milliseconds, not minutes.
   int sqp_max_iterations = 0;
-  int pkb_steps = 0;
   int nmmso_max_evaluations = 0;
-  int mm_starts = 0;
-  /// Quick-train fallback budget when no surrogate exists on disk
-  /// (mirrors nf_fill's reduced on-the-fly surrogate).
-  int quicktrain_epochs = 6;
-  int quicktrain_dataset = 60;
 };
 
 class JobRunner {
@@ -79,8 +74,8 @@ class JobRunner {
     std::shared_ptr<CmpSurrogate> surrogate;
   };
 
-  /// Loads (or quick-trains) the surrogate for `prefix`, through the
-  /// keyed cache.  `rows`/`cols` size the quick-train fallback.
+  /// Loads (or quick-trains on `ext`) the surrogate for `prefix`, through
+  /// the keyed cache.
   [[nodiscard]] Expected<std::shared_ptr<CmpSurrogate>> surrogate_for(
       const std::string& prefix, const WindowExtraction& ext,
       const CmpSimulator& sim);

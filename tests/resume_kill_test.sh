@@ -21,8 +21,9 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 
 COMMON_ARGS=(--method mm --threads 4 --surrogate "$WORK/reduced")
 
-# Reference: one uninterrupted run.  (The first run also quick-trains the
-# reduced surrogate into $WORK, so every later run loads identical weights.)
+# Reference: one uninterrupted run.  ($WORK/reduced does not exist, so every
+# run quick-trains the reduced surrogate from the same fixed seeds and gets
+# identical weights; nothing is saved.)
 "$NF_FILL" "$WORK/in.glf" "$WORK/ref.glf" "${COMMON_ARGS[@]}" \
   --snapshot "$WORK/ref.snap" >/dev/null 2>&1 \
   || fail "reference run failed"

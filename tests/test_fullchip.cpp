@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "fill/baselines.hpp"
+#include "fill/pipeline.hpp"
 #include "fullchip/driver.hpp"
 #include "fullchip/tile_store.hpp"
 #include "fullchip/tiling.hpp"
@@ -264,24 +264,35 @@ class FullChipDriver : public ::testing::Test {
 };
 
 TEST_F(FullChipDriver, SingleTileEqualsMonolithicExactly) {
-  // One tile covering the whole chip is the monolithic problem verbatim.
+  // One tile covering the whole chip is the monolithic problem verbatim, so
+  // the tile solve must reproduce the shared pipeline's monolithic fill bit
+  // for bit — for the rule method and for pkb with its tile snapshots.
   FullChipOptions opt = options("fc_single");
   opt.tile_windows = 64;
-  const FullChipResult tiled = fullchip_fill(index_, opt);
-  EXPECT_EQ(tiled.tiles_total, 1u);
+  opt.fill.sqp.max_iterations = 8;
+  const FillProblem problem =
+      make_fill_problem(layout_, opt.extract, opt.process);
+  Expected<std::shared_ptr<CmpSurrogate>> trained = load_or_quick_train(
+      tmp_path("fc_single_no_surrogate"), problem.extraction(),
+      problem.simulator());
+  ASSERT_TRUE(trained.ok()) << trained.error().to_string();
+  const std::shared_ptr<const CmpSurrogate> surrogate = *trained;
+  opt.surrogate_factory = [surrogate] { return surrogate; };
 
-  const WindowExtraction ext = extract_windows(layout_, opt.extract);
-  CmpProcessParams params = opt.process;
-  params.window_um = opt.extract.window_um;
-  const CmpSimulator sim(params);
-  const FillProblem problem(ext, sim,
-                            make_coefficients(layout_, ext, sim));
-  const FillRunResult mono = lin_rule_fill(problem);
+  for (const std::string method : {"lin", "pkb"}) {
+    SCOPED_TRACE(method);
+    opt.method = method;
+    opt.store_dir = tmp_path("fc_single_" + method);
+    const FullChipResult tiled = fullchip_fill(index_, opt);
+    EXPECT_EQ(tiled.tiles_total, 1u);
+    const FillRunResult mono =
+        run_fill_method(problem, method, surrogate, opt.fill);
 
-  ASSERT_EQ(tiled.x.size(), mono.x.size());
-  for (std::size_t l = 0; l < mono.x.size(); ++l)
-    for (std::size_t k = 0; k < mono.x[l].size(); ++k)
-      ASSERT_EQ(tiled.x[l][k], mono.x[l][k]);
+    ASSERT_EQ(tiled.x.size(), mono.x.size());
+    for (std::size_t l = 0; l < mono.x.size(); ++l)
+      for (std::size_t k = 0; k < mono.x[l].size(); ++k)
+        ASSERT_EQ(tiled.x[l][k], mono.x[l][k]);
+  }
 }
 
 TEST_F(FullChipDriver, TiledStaysNearMonolithic) {

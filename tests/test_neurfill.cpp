@@ -1,12 +1,15 @@
 // End-to-end integration tests: the full NeurFill framework (Fig. 7) on a
-// small synthetic design with a briefly pre-trained surrogate.
+// small synthetic design with a briefly pre-trained surrogate, and the
+// shared pipeline's quick-train fallback.
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "fill/report.hpp"
 #include "fill/snapshot.hpp"
 #include "geom/designs.hpp"
@@ -658,6 +662,47 @@ TEST_F(NeurFillPipeline, SurrogateGradientlessVsGradientAgreement) {
   const double f1 = obj(v, nullptr);
   const double f2 = obj(v, &g);
   EXPECT_EQ(f1, f2);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(FillPipelineQuickTrain, ReproducibleAndNeverTrainsAroundCorruptWeights) {
+  const Layout layout = make_design('a', 4, 100.0, 7);
+  const FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  const std::string dir = ::testing::TempDir();
+  const std::string missing = dir + "pipeline_no_surrogate";
+  std::remove((missing + ".meta").c_str());
+
+  // A missing surrogate is quick-trained from fixed seeds: two trainings
+  // for one extraction give the same weights bit for bit.
+  Expected<std::shared_ptr<CmpSurrogate>> a = load_or_quick_train(
+      missing, problem.extraction(), problem.simulator());
+  Expected<std::shared_ptr<CmpSurrogate>> b = load_or_quick_train(
+      missing, problem.extraction(), problem.simulator());
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+  ASSERT_TRUE(b.ok()) << b.error().to_string();
+  ASSERT_TRUE(save_surrogate(**a, dir + "pipeline_qt_a").ok());
+  ASSERT_TRUE(save_surrogate(**b, dir + "pipeline_qt_b").ok());
+  const std::string weights = file_bytes(dir + "pipeline_qt_a.weights");
+  EXPECT_FALSE(weights.empty());
+  EXPECT_EQ(weights, file_bytes(dir + "pipeline_qt_b.weights"));
+
+  // A present but corrupt surrogate is an input error, not a reason to
+  // train a replacement.
+  {
+    std::ofstream out(dir + "pipeline_qt_a.weights",
+                      std::ios::binary | std::ios::trunc);
+    out << "not a checkpoint";
+  }
+  Expected<std::shared_ptr<CmpSurrogate>> corrupt = load_or_quick_train(
+      dir + "pipeline_qt_a", problem.extraction(), problem.simulator());
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.error().code, ErrorCode::kCorrupt);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //  * scheduler — admission control (kOverloaded/kQueueFull, sub-second
 //    rejection), deterministic jitter-free backoff, retry-until-exhausted,
 //    interrupt re-queue, drain;
-//  * runner — artifact production, corrupt-snapshot quarantine with a
+//  * runner — artifact production, byte equality with the shared fill
+//    pipeline for every method, corrupt-snapshot quarantine with a
 //    byte-identical re-solve, the surrogate cache, serve.worker_crash;
 //  * daemon end-to-end over a real loopback socket, including the
 //    serve.accept and serve.reply_short_write fault sites.
@@ -28,6 +29,7 @@
 
 #include "common/fault.hpp"
 #include "common/log.hpp"
+#include "fill/pipeline.hpp"
 #include "geom/designs.hpp"
 #include "geom/glf_io.hpp"
 #include "obs/metrics.hpp"
@@ -696,9 +698,6 @@ TEST(ServeRunner, CorruptSnapshotIsQuarantinedAndSurrogateCacheHits) {
   RunnerOptions opts;
   opts.default_surrogate = dir + "/missing_prefix";
   opts.sqp_max_iterations = 2;
-  opts.pkb_steps = 2;
-  opts.quicktrain_epochs = 1;
-  opts.quicktrain_dataset = 4;
   JobRunner runner(opts);
   JobRecord rec;
   rec.id = "j000001";
@@ -724,6 +723,51 @@ TEST(ServeRunner, CorruptSnapshotIsQuarantinedAndSurrogateCacheHits) {
       << "re-solve after snapshot quarantine is not byte-identical";
   // Same design, same (quick-trained) surrogate: cache hit, no retrain.
   EXPECT_EQ(runner.surrogate_cache_size(), 1u);
+}
+
+// Every method run as a job writes the same bytes as the shared fill
+// pipeline driven directly: the runner adds robustness, never a different
+// fill.  A small SQP budget keeps cai (one simulation per variable per
+// gradient) quick.
+TEST(ServeRunner, EveryMethodMatchesTheSharedPipelineByteForByte) {
+  const std::string dir = test_dir("runner_pipeline");
+  ASSERT_TRUE(JobJournal::open(dir).ok());
+  write_glf_file(dir + "/in.glf", make_design('a', 4, 100.0, 7));
+  RunnerOptions opts;
+  opts.default_surrogate = dir + "/missing_prefix";
+  opts.sqp_max_iterations = 2;
+  opts.nmmso_max_evaluations = 60;
+  JobRunner runner(opts);
+
+  const Layout layout = read_glf_file(dir + "/in.glf");
+  const FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  Expected<std::shared_ptr<CmpSurrogate>> surrogate = load_or_quick_train(
+      opts.default_surrogate, problem.extraction(), problem.simulator());
+  ASSERT_TRUE(surrogate.ok()) << surrogate.error().to_string();
+  NeurFillOptions nopt;
+  nopt.nmmso.max_evaluations = opts.nmmso_max_evaluations;
+
+  for (const std::string method : {"lin", "tao", "cai", "pkb", "mm"}) {
+    SCOPED_TRACE(method);
+    JobRecord rec;
+    rec.id = "j000001";
+    rec.spec.design = dir + "/in.glf";
+    rec.spec.out = dir + "/" + method + "_job.glf";
+    rec.spec.method = method;
+    Expected<JobOutcome> job = runner.run(rec, Deadline(), "", nullptr);
+    ASSERT_TRUE(job.ok()) << job.error().to_string();
+
+    const FillRunResult direct = run_fill_method(
+        problem, method, *surrogate, nopt, opts.sqp_max_iterations);
+    Layout filled = layout;
+    EXPECT_EQ(insert_dummies(filled, problem.extraction(), direct.x),
+              job->dummies);
+    write_glf_file(dir + "/" + method + "_direct.glf", filled);
+    const std::vector<char> bytes = read_file(rec.spec.out);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, read_file(dir + "/" + method + "_direct.glf"));
+  }
 }
 
 // ---------------------------------------------------------- daemon + socket

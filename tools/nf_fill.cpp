@@ -12,25 +12,22 @@
 // success, 1 runtime/input failure (structured one-line error, no stack
 // trace), 2 usage error.
 
-#include <sys/stat.h>
-
 #include <atomic>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "fill/report.hpp"
 #include "fullchip/driver.hpp"
 #include "geom/glf_io.hpp"
 #include "layout/fill_insertion.hpp"
 #include "runtime/parallel.hpp"
-#include "surrogate/trainer.hpp"
 
 using namespace neurfill;
 
@@ -43,30 +40,12 @@ void handle_signal(int sig) {
   g_interrupt.store(true);
 }
 
-std::shared_ptr<CmpSurrogate> obtain_surrogate(const std::string& prefix,
-                                               const WindowExtraction& ext,
-                                               const CmpSimulator& sim) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) return std::move(*loaded);
-  // A *missing* artifact has the documented quick-train fallback; a present
-  // but corrupt/unreadable one is a hard input error (exit 1, no trace).
-  if (loaded.error().code != ErrorCode::kNotFound)
-    throw ErrorException(loaded.error());
-  std::fprintf(stderr,
-               "nf_fill: no surrogate at '%s'; training a reduced one\n",
-               prefix.c_str());
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 8;
-  cfg.unet.depth = 2;
-  auto s = std::make_shared<CmpSurrogate>(cfg, 5);
-  TrainingDataGenerator gen({ext}, sim, 17, 4);
-  TrainOptions opt;
-  opt.epochs = 6;
-  opt.dataset_size = 60;
-  opt.grid_rows = ext.rows;
-  opt.grid_cols = ext.cols;
-  train_surrogate(*s, gen, opt);
-  return s;
+std::shared_ptr<CmpSurrogate> surrogate_or_throw(const std::string& prefix,
+                                                 const FillProblem& problem) {
+  Expected<std::shared_ptr<CmpSurrogate>> s =
+      load_or_quick_train(prefix, problem.extraction(), problem.simulator());
+  if (!s.ok()) throw ErrorException(s.error());
+  return std::move(*s);
 }
 
 struct RunFlags {
@@ -91,43 +70,27 @@ int run(const std::string& in_path, const std::string& out_path,
         const std::string& method, const std::string& surrogate_prefix,
         const ExtractOptions& eopt, const RunFlags& flags) {
   Layout layout = read_glf_file(in_path);
-  const WindowExtraction ext = extract_windows(layout, eopt);
-  CmpProcessParams params;
-  params.window_um = eopt.window_um;
-  CmpSimulator sim(params);
-  const ScoreCoefficients coeffs = make_coefficients(layout, ext, sim);
-  FillProblem problem(ext, sim, coeffs);
+  const FillProblem problem =
+      make_fill_problem(layout, eopt, CmpProcessParams());
+  const WindowExtraction& ext = problem.extraction();
 
-  const Deadline deadline = flags.deadline_s > 0.0
-                                ? Deadline::after_seconds(flags.deadline_s)
-                                : Deadline();
+  NeurFillOptions nopt;
+  nopt.deadline = flags.deadline_s > 0.0
+                      ? Deadline::after_seconds(flags.deadline_s)
+                      : Deadline();
+  nopt.snapshot_path = flags.snapshot_path;
+  nopt.snapshot_every = flags.snapshot_every;
+  nopt.resume = flags.resume;
+  nopt.interrupt = &g_interrupt;
+  std::shared_ptr<const CmpSurrogate> surrogate;
+  if (fill_method_needs_surrogate(method))
+    surrogate = surrogate_or_throw(surrogate_prefix, problem);
+  const FillRunResult result =
+      run_fill_method(problem, method, surrogate, nopt);
 
-  FillRunResult result;
-  if (method == "lin") {
-    result = lin_rule_fill(problem);
-  } else if (method == "tao") {
-    TaoOptions topt;
-    topt.sqp.deadline = deadline;
-    result = tao_rule_sqp(problem, topt);
-  } else if (method == "cai") {
-    CaiOptions copt;
-    copt.sqp.deadline = deadline;
-    result = cai_model_fill(problem, copt);
-  } else {  // pkb or mm: the parser only admits the five known methods
-    auto surrogate = obtain_surrogate(surrogate_prefix, ext, sim);
-    CmpNetwork network(surrogate, ext, coeffs);
-    calibrate_network(network, problem);
-    NeurFillOptions nopt;
-    nopt.deadline = deadline;
-    nopt.snapshot_path = flags.snapshot_path;
-    nopt.snapshot_every = flags.snapshot_every;
-    nopt.resume = flags.resume;
-    nopt.interrupt = &g_interrupt;
-    result = method == "pkb" ? neurfill_pkb(problem, network, nopt)
-                             : neurfill_mm(problem, network, nopt);
-  }
-
-  const Layout original = layout;  // scoring must see the pre-fill design
+  // Scoring must see the pre-fill design.
+  std::optional<Layout> original;
+  if (flags.report) original = layout;
   std::size_t dummies = 0;
   if (flags.drc) {
     const DrcInsertStats stats = insert_dummies_drc(layout, ext, result.x);
@@ -145,49 +108,12 @@ int run(const std::string& in_path, const std::string& out_path,
                result.objective_evaluations,
                result.timed_out ? " [timed-out]" : "",
                result.degraded ? " [degraded]" : "");
-  if (flags.report) {
-    const MethodReport rep = score_fill_result(problem, original, result);
+  if (original) {
+    const MethodReport rep = score_fill_result(problem, *original, result);
     print_table3_header(std::cout);
     print_table3_row(std::cout, layout.name, rep);
   }
   return 0;
-}
-
-/// Resolves the surrogate the tile solves will load: the given prefix when
-/// it exists, else a reduced surrogate quick-trained on tile (0,0)'s halo
-/// region and saved inside the tile store, so every concurrent tile solve
-/// can load its own instance from disk.
-std::string prepare_tiled_surrogate(const std::string& prefix,
-                                    const fullchip::FullChipOptions& fopt,
-                                    const GlfRegionIndex& index) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) return prefix;
-  if (loaded.error().code != ErrorCode::kNotFound)
-    throw ErrorException(loaded.error());
-
-  const double w = fopt.extract.window_um;
-  const std::size_t rows =
-      static_cast<std::size_t>(std::ceil(index.height_um() / w));
-  const std::size_t cols =
-      static_cast<std::size_t>(std::ceil(index.width_um() / w));
-  const int halo =
-      fopt.halo_windows >= 0
-          ? fopt.halo_windows
-          : fullchip::auto_halo_windows(fopt.process.char_length_um, w);
-  const fullchip::TileGrid grid(rows, cols, fopt.tile_windows, halo, w);
-  const Layout local =
-      fullchip::load_tile_layout(index, grid.tile(0, 0), w);
-  const WindowExtraction ext = extract_windows(local, fopt.extract);
-  CmpProcessParams params = fopt.process;
-  params.window_um = w;
-  const CmpSimulator sim(params);
-  auto surrogate = obtain_surrogate(prefix, ext, sim);
-
-  ::mkdir(fopt.store_dir.c_str(), 0755);  // store.open would create it later
-  const std::string trained = fopt.store_dir + "/surrogate";
-  Expected<void> saved = save_surrogate(*surrogate, trained);
-  if (!saved.ok()) throw ErrorException(saved.error());
-  return trained;
 }
 
 int run_tiled(const std::string& in_path, const std::string& out_path,
@@ -214,15 +140,16 @@ int run_tiled(const std::string& in_path, const std::string& out_path,
                       ? Deadline::after_seconds(flags.deadline_s)
                       : Deadline();
   fopt.interrupt = &g_interrupt;
-  if (method == "pkb" || method == "mm") {
-    const std::string prefix =
-        prepare_tiled_surrogate(surrogate_prefix, fopt, index);
-    fopt.surrogate_factory =
-        [prefix]() -> std::shared_ptr<const CmpSurrogate> {
-      Expected<std::shared_ptr<CmpSurrogate>> s = load_surrogate(prefix);
-      if (!s.ok()) throw ErrorException(s.error());
-      return std::move(*s);
-    };
+  if (fill_method_needs_surrogate(method)) {
+    // Every tile solve shares one surrogate instance: a fill pass writes
+    // nothing into it.  A missing one is quick-trained on tile (0,0).
+    const fullchip::TileRegion first =
+        fullchip::make_tile_grid(index, fopt).tile(0, 0);
+    const Layout local =
+        fullchip::load_tile_layout(index, first, eopt.window_um);
+    const std::shared_ptr<const CmpSurrogate> surrogate = surrogate_or_throw(
+        surrogate_prefix, make_fill_problem(local, eopt, fopt.process));
+    fopt.surrogate_factory = [surrogate] { return surrogate; };
   }
 
   const fullchip::FullChipResult result = fullchip::fullchip_fill(index, fopt);
