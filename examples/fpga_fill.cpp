@@ -14,9 +14,9 @@
 #include <string>
 
 #include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
-#include "surrogate/trainer.hpp"
 
 using namespace neurfill;
 
@@ -25,29 +25,18 @@ int main(int argc, char** argv) {
   const int windows = argc > 2 ? std::atoi(argv[2]) : 24;
 
   const Layout layout = make_design('b', windows, 100.0, /*seed=*/2);
-  const WindowExtraction ext = extract_windows(layout);
-  CmpSimulator simulator;
-  const ScoreCoefficients coeffs = make_coefficients(layout, ext, simulator);
-  FillProblem problem(ext, simulator, coeffs);
+  FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  const WindowExtraction& ext = problem.extraction();
+  const ScoreCoefficients& coeffs = problem.coefficients();
 
-  std::shared_ptr<CmpSurrogate> surrogate;
-  if (Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix)) {
-    surrogate = std::move(*loaded);
-  } else {
-    std::printf("cached surrogate missing; training a small one\n");
-    SurrogateConfig cfg;
-    cfg.unet.base_channels = 8;
-    cfg.unet.depth = 2;
-    surrogate = std::make_shared<CmpSurrogate>(cfg, 3);
-    TrainingDataGenerator gen({ext}, simulator, 9, 4);
-    TrainOptions topt;
-    topt.epochs = 8;
-    topt.dataset_size = 80;
-    topt.grid_rows = ext.rows;
-    topt.grid_cols = ext.cols;
-    train_surrogate(*surrogate, gen, topt);
+  Expected<std::shared_ptr<CmpSurrogate>> surrogate =
+      load_or_quick_train(prefix, ext, problem.simulator());
+  if (!surrogate.ok()) {
+    std::fprintf(stderr, "error: %s\n", surrogate.error().to_string().c_str());
+    return 1;
   }
-  CmpNetwork network(surrogate, ext, coeffs);
+  CmpNetwork network(*surrogate, ext, coeffs);
   calibrate_network(network, problem);
 
   std::printf("FPGA fabric: %d x %d windows, 3 layers\n", windows, windows);

@@ -25,15 +25,6 @@ void Backend::conv_weight_pack(const Conv2dGeom&, const float*, float*) {
            name());
 }
 
-void Backend::conv2d_gn_act_fwd_packed(const Conv2dGeom& g, int groups,
-                                       float eps, ActKind act, float slope,
-                                       const float* x, const float* w,
-                                       const float* /*packed_w*/,
-                                       const float* bias, const float* gamma,
-                                       const float* beta, float* y) {
-  conv2d_gn_act_fwd(g, groups, eps, act, slope, x, w, bias, gamma, beta, y);
-}
-
 Backend& backend() { return *active_backend(); }
 
 Backend* set_backend(Backend* b) {

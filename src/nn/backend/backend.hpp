@@ -55,7 +55,8 @@ enum class UnaryKind {
 /// Elementwise binary maps over same-length buffers.
 enum class BinaryKind { kAdd, kSub, kMul, kDiv };
 
-/// Activation applied by the fused inference block (conv2d_gn_act_fwd).
+/// Activation applied by the fused inference block
+/// (conv2d_gn_act_fwd_packed).
 enum class ActKind { kNone, kRelu, kLeakyRelu };
 
 /// Geometry of one 2-D convolution: input [N, C, H, W], filters
@@ -173,20 +174,9 @@ class Backend {
                                    std::int64_t plane, const float* a,
                                    const float* b, float* y) = 0;
 
-  /// Fused inference block: y = act(group_norm(conv2d(x, w) + bias)).
-  /// `groups == 0` skips normalization (gamma/beta/eps ignored); `bias` may
-  /// be null.  Bitwise identical to the unfused conv2d_fwd →
-  /// group_norm_fwd → unary_map chain (pinned by tests/test_inference.cpp)
-  /// while skipping the intermediate materializations.
-  virtual void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps,
-                                 ActKind act, float slope, const float* x,
-                                 const float* w, const float* bias,
-                                 const float* gamma, const float* beta,
-                                 float* y) = 0;
-
   /// Floats of the backend-opaque pre-packed panel conv_weight_pack builds
-  /// for the constant filter tensor of conv2d_gn_act_fwd, or 0 when the
-  /// backend has no packed form for this geometry (callers then skip
+  /// for the constant filter tensor of conv2d_gn_act_fwd_packed, or 0 when
+  /// the backend has no packed form for this geometry (callers then skip
   /// prepacking).  A panel is valid only for the exact geometry it was
   /// sized for and only on the backend that produced it.  Default: 0.
   virtual std::size_t conv_weight_pack_floats(const Conv2dGeom& g);
@@ -197,19 +187,20 @@ class Backend {
   virtual void conv_weight_pack(const Conv2dGeom& g, const float* w,
                                 float* dst);
 
-  /// conv2d_gn_act_fwd with the filters additionally supplied as a
-  /// pre-packed panel from conv_weight_pack (`packed_w` may be null: then
-  /// identical to conv2d_gn_act_fwd).  Results are bitwise identical with
-  /// and without the panel; the panel only hoists per-call weight packing
-  /// out of the GEMM.  `w` must still point at the raw filters (paths that
-  /// do not consume the packed form read it).  Default: forwards to
-  /// conv2d_gn_act_fwd, ignoring `packed_w`.
+  /// Fused inference block: y = act(group_norm(conv2d(x, w) + bias)).
+  /// `groups == 0` skips normalization (gamma/beta/eps ignored); `bias` may
+  /// be null.  Bitwise identical to the unfused conv2d_fwd →
+  /// group_norm_fwd → unary_map chain (pinned by tests/test_inference.cpp)
+  /// while skipping the intermediate materializations.  `packed_w` is the
+  /// optional panel from conv_weight_pack, or null: results are bitwise
+  /// identical either way, the panel only hoists per-call weight packing
+  /// out of the kernel.  `w` must always point at the raw filters.
   virtual void conv2d_gn_act_fwd_packed(const Conv2dGeom& g, int groups,
                                         float eps, ActKind act, float slope,
                                         const float* x, const float* w,
                                         const float* packed_w,
                                         const float* bias, const float* gamma,
-                                        const float* beta, float* y);
+                                        const float* beta, float* y) = 0;
 };
 
 /// The active backend.  Defaults to the built-in CpuBackend; never null.

@@ -143,6 +143,18 @@ void pack_conv_sliver(const float* x, int C, int H, int W, int kh, int kw,
   const int cols = Hout * Wout;
   const int j0 = s * kGemmNr;
   const int nr = std::min(kGemmNr, cols - j0);
+  if (kh == 1 && kw == 1 && stride == 1 && pad == 0) {
+    // Identity unfold (the 1x1 output head): row k of the sliver is a run
+    // of input plane k — the bytes the gather below would produce, without
+    // its per-element index arithmetic.
+    for (int k = 0; k < C; ++k) {
+      float* row = dst + static_cast<std::size_t>(k) * kGemmNr;
+      std::memcpy(row, x + static_cast<std::size_t>(k) * cols + j0,
+                  sizeof(float) * static_cast<std::size_t>(nr));
+      for (int jj = nr; jj < kGemmNr; ++jj) row[jj] = 0.0f;
+    }
+    return;
+  }
   int oi[kGemmNr], oj[kGemmNr];
   for (int jj = 0; jj < nr; ++jj) {
     oi[jj] = (j0 + jj) / Wout;
@@ -178,6 +190,22 @@ void pack_conv_sliver_batched(const float* x, int C, int H, int W, int kh,
   const int total = batch * cols;
   const int j0 = s * kGemmNr;
   const int nr = std::min(kGemmNr, total - j0);
+  const std::size_t sample_elems = static_cast<std::size_t>(C) * H * W;
+  if (kh == 1 && kw == 1 && stride == 1 && pad == 0) {
+    // Identity unfold, as in pack_conv_sliver: column jg is element
+    // jg % cols of every input plane of sample jg / cols.
+    std::size_t at[kGemmNr];
+    for (int jj = 0; jj < nr; ++jj)
+      at[jj] = static_cast<std::size_t>((j0 + jj) / cols) * sample_elems +
+               static_cast<std::size_t>((j0 + jj) % cols);
+    for (int k = 0; k < C; ++k) {
+      const float* plane = x + static_cast<std::size_t>(k) * cols;
+      float* row = dst + static_cast<std::size_t>(k) * kGemmNr;
+      for (int jj = 0; jj < nr; ++jj) row[jj] = plane[at[jj]];
+      for (int jj = nr; jj < kGemmNr; ++jj) row[jj] = 0.0f;
+    }
+    return;
+  }
   int n[kGemmNr], oi[kGemmNr], oj[kGemmNr];
   for (int jj = 0; jj < nr; ++jj) {
     const int jg = j0 + jj;
@@ -187,7 +215,6 @@ void pack_conv_sliver_batched(const float* x, int C, int H, int W, int kh,
     oj[jj] = jl % Wout;
   }
   const int K = C * kh * kw;
-  const std::size_t sample_elems = static_cast<std::size_t>(C) * H * W;
   for (int k = 0; k < K; ++k) {
     const int c = k / (kh * kw);
     const int ki = (k / kw) % kh;
@@ -220,696 +247,216 @@ void pack_conv_sliver_batched(const float* x, int C, int H, int W, int kh,
 // exactly the order the packed GEMM uses — ascending k = (c, ki, kj), a
 // fresh partial sum per kGemmKc-slab, partials combined in ascending slab
 // order, with the padding zeros participating in the chain just as a
-// materialized im2col would have them.  The vector and scalar bodies below
-// use the same expression shape as the GEMM micro-kernel (`acc += w * x`),
-// so the compiler makes the same contraction choice in both TUs (both
-// compile under NEURFILL_KERNEL_FLAGS) and fused-vs-unfused stays bitwise
-// equal (asserted by tests/test_inference.cpp).
+// materialized im2col would have them.  The kernel uses the same
+// expression shape as the GEMM micro-kernel (`acc += w * x`), so the
+// compiler makes the same contraction choice in both TUs (both compile
+// under NEURFILL_KERNEL_FLAGS) and fused-vs-unfused stays bitwise equal
+// (asserted by tests/test_inference.cpp).
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)
 #define NEURFILL_CONV_VECTOR_EXT 1
-/// Output vectors of the direct kernel.  Lane count is semantically
-/// irrelevant — every output element owns an independent per-lane chain —
-/// so the row driver picks the widest block that fits the output row:
-/// 16-lane blocks halve the broadcast-load pressure per FLOP on AVX-512
-/// hosts (where they map to single zmm registers), 8-lane blocks fit the
-/// 16-register AVX2 file and the 8-wide bottleneck rows.
-typedef float VOut4 __attribute__((vector_size(4 * sizeof(float))));
-typedef float VOut8 __attribute__((vector_size(8 * sizeof(float))));
-typedef float VOut16 __attribute__((vector_size(16 * sizeof(float))));
 #endif
 
 /// Output channels per register block: every UNet stage width (8/16/32/64)
-/// is a multiple, so the remainder path only ever sees the 1-channel head.
+/// is a multiple; any other channel count (the 1-channel head) takes the
+/// packed GEMM.
 constexpr int kConvOr = 8;
 
-/// One output element through the GEMM-ordered chain: ascending-k partial
-/// sums flushed at kGemmKc boundaries, flushes combined in slab order.
-float conv_direct_one(const float* const* prows, const float* wo, int C,
-                      int kh, int kw, int j) {
-  float total = 0.0f, acc = 0.0f;
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          total = flushed ? total + acc : acc;
-          flushed = true;
-          acc = 0.0f;
-          boundary += kGemmKc;
-        }
-        acc += wo[k] * row[kj];
-      }
-    }
-  return flushed ? total + acc : acc;
-}
+/// Operands shared by every job of one direct conv call.
+struct DirectConv {
+  const float* wp;     ///< conv_weight_pack panel: [k][o] per kConvOr block
+  std::size_t n_rows;  ///< input-row pointers per output row: C * kh
+  int C, kh, kw, K, O, wout;
+  std::int64_t cols;   ///< one output channel plane: Hout * Wout
+};
+
+/// The direct kernel's register tile for one conv: `rows` output rows x
+/// `cols` columns per kConvOr channels, run by `run`; no `run` means the
+/// conv takes the packed GEMM (conv_tile_for).
+struct ConvTile {
+  int rows = 0, cols = 0;
+  void (*run)(const DirectConv&, const float* const*, float*) = nullptr;
+};
 
 #if NEURFILL_CONV_VECTOR_EXT
-/// kConvOr channels x lanes-of-V output columns in registers: one input
-/// vector load feeds kConvOr independent accumulation chains, giving the
-/// ILP the single-chain scalar loop lacks, with the input rows shared
-/// across channels straight from L1.
-///
-/// All block kernels below take the filters either raw ([o][k] rows, WP =
-/// false) or as the conv_weight_pack transposed panel ([k][o] blocks, WP =
-/// true, `wgt` pointing at this kConvOr-channel block); the loaded values
-/// and the FMA order are identical either way, so the two instantiations
-/// are bitwise-equal and only differ in weight cache behavior.
-template <typename V, bool WP = false>
-void conv_direct_block(const float* const* prows, const float* wgt, int K,
-                       int C, int kh, int kw, int j, std::int64_t cols,
-                       float* out) {
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv;
-        __builtin_memcpy(&xv, row + kj, sizeof xv);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    __builtin_memcpy(out + static_cast<std::int64_t>(i) * cols, &v, sizeof v);
-  }
-}
-
-/// Two lanes-of-V column blocks sharing each weight broadcast: per k the
-/// kernel issues one broadcast and two input loads for 2*kConvOr FMAs,
-/// easing the load-port pressure that bounds the single-block variant on
-/// wide output rows.  Per-element chains are untouched.
-template <typename V, bool WP = false>
-void conv_direct_block2(const float* const* prows, const float* wgt, int K,
-                        int C, int kh, int kw, int j, std::int64_t cols,
-                        float* out) {
-  constexpr int lanes = static_cast<int>(sizeof(V) / sizeof(float));
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv0, xv1;
-        __builtin_memcpy(&xv0, row + kj, sizeof xv0);
-        __builtin_memcpy(&xv1, row + kj + lanes, sizeof xv1);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, sizeof v0);
-    __builtin_memcpy(dst + lanes, &v1, sizeof v1);
-  }
-}
-
-/// Single-channel vector block for the O % kConvOr remainder (the 1x1
-/// output head): one chain, still vectorized across output columns.
-template <typename V>
-void conv_direct_block1(const float* const* prows, const float* wo, int C,
-                        int kh, int kw, int j, float* out) {
-  V total = {}, acc = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          total = flushed ? total + acc : acc;
-          flushed = true;
-          acc = V{};
-          boundary += kGemmKc;
-        }
-        V xv;
-        __builtin_memcpy(&xv, row + kj, sizeof xv);
-        acc += wo[k] * xv;
-      }
-    }
-  const V v = flushed ? total + acc : acc;
-  __builtin_memcpy(out + j, &v, sizeof v);
-}
-
-/// Two OUTPUT ROWS packed into one vector: lanes [0, half) are columns
-/// j..j+half of output row oi, lanes [half, 2*half) the same columns of row
-/// oi+1.  The narrow bottleneck rows (Wout = 8) fill only half a 16-lane
-/// register on their own, capping them at the 8-lane FMA rate; pairing rows
-/// restores full-width FMAs.  Each lane still owns an independent
-/// GEMM-ordered chain, so pairing never perturbs a single output bit.
-template <bool WP = false>
-void conv_direct_block_pair(const float* const* prows0,
-                            const float* const* prows1, const float* wgt,
-                            int K, int C, int kh, int kw, int j, int wout,
-                            std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int half = static_cast<int>(sizeof(V) / sizeof(float)) / 2;
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row0 = prows0[c * kh + ki] + j;
-      const float* row1 = prows1[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        // Half-vector loads combined in registers (shufflevector compiles
-        // to a single insert); round-tripping the build through a stack
-        // temporary would stall every iteration on store forwarding.
-        VOut8 lo, hi;
-        __builtin_memcpy(&lo, row0 + kj, sizeof lo);
-        __builtin_memcpy(&hi, row1 + kj, sizeof hi);
-        const V xv = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
-                                             8, 9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v, half * sizeof(float));
-    __builtin_memcpy(dst + wout, reinterpret_cast<const float*>(&v) + half,
-                     half * sizeof(float));
-  }
-}
-
-/// Two full-width OUTPUT ROWS sharing each weight broadcast: vector 0 is
-/// columns j..j+lanes of output row oi, vector 1 the same columns of row
-/// oi+1.  The column-pair variant (conv_direct_block2) needs 2*lanes
-/// columns in one row; 16-wide rows on a 16-lane host never have them, so
-/// each row runs a lone block at half the FMA-per-broadcast rate.  Pairing
-/// rows instead restores the 2x ratio with the same independent chains.
-template <typename V, bool WP = false>
-void conv_direct_block2_rows(const float* const* prows0,
-                             const float* const* prows1, const float* wgt,
-                             int K, int C, int kh, int kw, int j, int wout,
-                             std::int64_t cols, float* out) {
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv0, xv1;
-        __builtin_memcpy(&xv0, row0 + kj, sizeof xv0);
-        __builtin_memcpy(&xv1, row1 + kj, sizeof xv1);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, sizeof v0);
-    __builtin_memcpy(dst + wout, &v1, sizeof v1);
-  }
-}
-
-/// FOUR 8-wide output rows as two row-pair vectors sharing each weight
-/// broadcast: vector 0 packs rows oi/oi+1 (conv_direct_block_pair's
-/// layout), vector 1 rows oi+2/oi+3.  Same FMA-per-broadcast doubling as
-/// conv_direct_block2_rows, one level narrower.
-template <bool WP = false>
-void conv_direct_block_pair2(const float* const* prows0,
-                             const float* const* prows1,
-                             const float* const* prows2,
-                             const float* const* prows3, const float* wgt,
-                             int K, int C, int kh, int kw, int j, int wout,
-                             std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int half = static_cast<int>(sizeof(V) / sizeof(float)) / 2;
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      const float* row2 = prows2[rk] + j;
-      const float* row3 = prows3[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        VOut8 a, b, c2, d;
-        __builtin_memcpy(&a, row0 + kj, sizeof a);
-        __builtin_memcpy(&b, row1 + kj, sizeof b);
-        __builtin_memcpy(&c2, row2 + kj, sizeof c2);
-        __builtin_memcpy(&d, row3 + kj, sizeof d);
-        const V xv0 = __builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                              9, 10, 11, 12, 13, 14, 15);
-        const V xv1 = __builtin_shufflevector(c2, d, 0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                              9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, half * sizeof(float));
-    __builtin_memcpy(dst + wout, reinterpret_cast<const float*>(&v0) + half,
-                     half * sizeof(float));
-    __builtin_memcpy(dst + 2 * wout, &v1, half * sizeof(float));
-    __builtin_memcpy(dst + 3 * wout, reinterpret_cast<const float*>(&v1) + half,
-                     half * sizeof(float));
-  }
-}
-
-/// FOUR output rows packed into one 16-lane vector: lanes [q*4, q*4+4) are
-/// columns j..j+4 of output row oi+q.  The 4-wide UNet stages (a 16-window
-/// tile's middle encoder/decoder level) would otherwise fall to the packed
-/// GEMM, whose per-element unfold gather costs more than the product
-/// itself at these shapes; quad packing keeps them on the zero-copy direct
-/// kernel at full vector width.  Lanes are independent chains — packing
-/// never perturbs a single output bit.
-template <bool WP = false>
-void conv_direct_block_quad(const float* const* prows0,
-                            const float* const* prows1,
-                            const float* const* prows2,
-                            const float* const* prows3, const float* wgt,
-                            int K, int C, int kh, int kw, int j, int wout,
-                            std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int quarter = static_cast<int>(sizeof(V) / sizeof(float)) / 4;
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      const float* row2 = prows2[rk] + j;
-      const float* row3 = prows3[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        // Quarter-vector loads combined in registers (two insert levels);
-        // see conv_direct_block_pair for why a stack temporary would stall.
-        VOut4 q0, q1, q2, q3;
-        __builtin_memcpy(&q0, row0 + kj, sizeof q0);
-        __builtin_memcpy(&q1, row1 + kj, sizeof q1);
-        __builtin_memcpy(&q2, row2 + kj, sizeof q2);
-        __builtin_memcpy(&q3, row3 + kj, sizeof q3);
-        const VOut8 lo = __builtin_shufflevector(q0, q1, 0, 1, 2, 3, 4, 5, 6, 7);
-        const VOut8 hi = __builtin_shufflevector(q2, q3, 0, 1, 2, 3, 4, 5, 6, 7);
-        const V xv = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
-                                             8, 9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    const float* vf = reinterpret_cast<const float*>(&v);
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    for (int q = 0; q < 4; ++q)
-      __builtin_memcpy(dst + static_cast<std::int64_t>(q) * wout,
-                       vf + q * quarter, quarter * sizeof(float));
-  }
-}
-#endif
-
-/// One full output row (all O channels) from padded input row pointers.
-/// `prows[c*kh + ki]` holds the input row oi+ki-pad shifted by the padding:
-/// index j+kj reads input column j+kj-pad, zero outside the sample.
-///
-/// All row drivers take the raw filters in `wgt` plus the optional
-/// conv_weight_pack transposed panel in `wp` (WP = true; full kConvOr
-/// blocks only — scalar and remainder-channel paths always read `wgt`).
-template <bool WP>
-void conv_direct_row(const float* const* prows, const float* wgt,
-                     const float* wp, int O, int K, int C, int kh, int kw,
-                     int Wout, std::int64_t cols, float* yrow) {
-  int o0 = 0;
-#if NEURFILL_CONV_VECTOR_EXT
+/// Widest output vector of the direct kernel: one zmm register on AVX-512
+/// hosts, where 16-lane tiles halve the broadcast-load pressure per FLOP.
+/// 8 lanes elsewhere: wider tiles' accumulators would overflow the
+/// 16-register AVX2 file and spill.
 #if defined(__AVX512F__)
-  constexpr bool kWide = true;  // 16-lane blocks are single zmm registers
+constexpr int kConvLanes = 16;
 #else
-  constexpr bool kWide = false;
+constexpr int kConvLanes = 8;
 #endif
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    if (kWide) {
-      for (; j + 32 <= Wout; j += 32)
-        conv_direct_block2<VOut16, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                       out + j);
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block<VOut16, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                      out + j);
-    } else {
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block2<VOut8, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                      out + j);
-    }
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block<VOut8, WP>(prows, wob, K, C, kh, kw, j, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i)
-        out[static_cast<std::int64_t>(i) * cols + j] = conv_direct_one(
-            prows, wo + static_cast<std::size_t>(i) * K, C, kh, kw, j);
+
+template <int L>
+struct ConvVec;
+template <>
+struct ConvVec<4> {
+  typedef float type __attribute__((vector_size(4 * sizeof(float))));
+};
+template <>
+struct ConvVec<8> {
+  typedef float type __attribute__((vector_size(8 * sizeof(float))));
+};
+template <>
+struct ConvVec<16> {
+  typedef float type __attribute__((vector_size(16 * sizeof(float))));
+};
+
+/// Loads one L-lane vector `v` with S consecutive floats from each of L/S
+/// rows, starting at column `off` (row q in lanes [q*S, q*S+S)).  Packed
+/// rows load as halves combined in registers (shufflevector compiles to an
+/// insert); a stack temporary would stall every k-step on store
+/// forwarding.  `v` is an out-parameter: returning a vector wider than the
+/// baseline ISA's registers would change the ABI.
+template <int L, int S>
+void load_rows(typename ConvVec<L>::type& v, const float* const* rows,
+               int off) {
+  if constexpr (L == S) {
+    __builtin_memcpy(&v, rows[0] + off, sizeof v);
+  } else {
+    typename ConvVec<L / 2>::type lo, hi;
+    load_rows<L / 2, S>(lo, rows, off);
+    load_rows<L / 2, S>(hi, rows + L / 2 / S, off);
+    if constexpr (L == 16)
+      v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                  11, 12, 13, 14, 15);
+    else
+      v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
   }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    if (kWide)
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block1<VOut16>(prows, wo, C, kh, kw, j, out);
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block1<VOut8>(prows, wo, C, kh, kw, j, out);
-    for (; j < Wout; ++j)
-      out[j] = conv_direct_one(prows, wo, C, kh, kw, j);
-  }
-#else
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j)
-      out[j] = conv_direct_one(prows, wo, C, kh, kw, j);
-  }
-#endif
 }
 
-/// Whether the driver pairs adjacent output rows on narrow outputs (see
-/// conv_direct_block_pair).  Worth it only where a 16-lane vector is one
-/// register; on AVX2 the paired accumulators alone would overflow the
-/// 16-register file and spill.
-#if NEURFILL_CONV_VECTOR_EXT && defined(__AVX512F__)
-constexpr bool kConvPairRows = true;
-#else
-constexpr bool kConvPairRows = false;
-#endif
-
-/// Two adjacent output rows oi (prows0) and oi+1 (prows1) at once, for
-/// narrow outputs.  `yrow` addresses row oi of channel 0; row oi+1 of every
-/// channel sits `wout` floats further into the same plane.
-template <bool WP>
-void conv_direct_row_pair(const float* const* prows0,
-                          const float* const* prows1, const float* wgt,
-                          const float* wp, int O, int K, int C, int kh,
-                          int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block_pair<WP>(prows0, prows1, wob, K, C, kh, kw, j,
-                                 Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
+/// kConvOr output channels x an R-row, S-column output tile in registers,
+/// as NV = R*S/L vectors of L = min(R*S, kConvLanes) lanes.  A vector
+/// covers L columns of one row, or packs L/S rows when rows are narrower
+/// than a vector (8-wide rows pair, 4-wide rows quadruple), so narrow
+/// outputs still run full-width FMAs.  Per k-step one weight broadcast
+/// feeds NV FMAs and one input load feeds kConvOr independent chains from
+/// L1.  Every lane owns its own GEMM-ordered chain: the tile shape never
+/// perturbs an output bit.  `wp` is this channel block's panel; `out` is
+/// row oi of channel 0 at column j.
+template <int R, int S>
+void conv_direct_tile(const DirectConv& a, const float* const* ptrs,
+                      const float* wp, int j, float* out) {
+  constexpr int L = R * S < kConvLanes ? R * S : kConvLanes;
+  constexpr int NV = R * S / L;
+  constexpr int SV = S < L ? S : L;  // columns of one row in one vector
+  using V = typename ConvVec<L>::type;
+  // Locals, not `a.` reads: the byte-wise output stores below may alias
+  // `a` as far as the compiler knows, which would reload every field.
+  const int C = a.C, kh = a.kh, kw = a.kw, wout = a.wout;
+  const std::size_t n_rows = a.n_rows;
+  const std::int64_t cols = a.cols;
+  V total[NV][kConvOr] = {}, acc[NV][kConvOr] = {};
+  bool flushed = false;
+  int boundary = kGemmKc;
+  int k = 0;
+  for (int c = 0; c < C; ++c)
+    for (int ki = 0; ki < kh; ++ki) {
+      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
+      const float* rows[R];
+      for (int r = 0; r < R; ++r)
+        rows[r] = ptrs[static_cast<std::size_t>(r) * n_rows + rk] + j;
+      for (int kj = 0; kj < kw; ++kj, ++k) {
+        if (k == boundary) {
+          for (int v = 0; v < NV; ++v)
+            for (int i = 0; i < kConvOr; ++i) {
+              total[v][i] = flushed ? total[v][i] + acc[v][i] : acc[v][i];
+              acc[v][i] = V{};
+            }
+          flushed = true;
+          boundary += kGemmKc;
+        }
+        // Vector v starts at row v*L/S, column v*L%S of the tile.
+        V xv[NV];
+        for (int v = 0; v < NV; ++v)
+          load_rows<L, SV>(xv[v], rows + v * L / S, kj + v * L % S);
+        const float* wk = wp + static_cast<std::size_t>(k) * kConvOr;
+        for (int i = 0; i < kConvOr; ++i) {
+          const float wi = wk[i];
+          for (int v = 0; v < NV; ++v) acc[v][i] += wi * xv[v];
+        }
       }
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
     }
-  }
-#else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-#endif
+  for (int i = 0; i < kConvOr; ++i)
+    for (int v = 0; v < NV; ++v) {
+      const V t = flushed ? total[v][i] + acc[v][i] : acc[v][i];
+      const float* tf = reinterpret_cast<const float*>(&t);
+      float* dst = out + static_cast<std::int64_t>(i) * cols + v * L % S;
+      for (int q = 0; q < L / SV; ++q)
+        __builtin_memcpy(dst + static_cast<std::int64_t>(v * L / S + q) * wout,
+                         tf + q * SV, SV * sizeof(float));
+    }
 }
 
-/// Four adjacent output rows oi..oi+3 at once, for 4-wide outputs.  `yrow`
-/// addresses row oi of channel 0; row oi+q of every channel sits q*wout
-/// floats further into the same plane.
-template <bool WP>
-void conv_direct_row_quad(const float* const* prows0,
-                          const float* const* prows1,
-                          const float* const* prows2,
-                          const float* const* prows3, const float* wgt,
-                          const float* wp, int O, int K, int C, int kh,
-                          int kw, int Wout, std::int64_t cols, float* yrow) {
+/// One job of the direct conv: R output rows oi..oi+R-1 of one sample, all
+/// O channels.  `ptrs` holds R tables of a.n_rows pointers; entry c*kh + ki
+/// of table r is padded input row oi+r+ki of channel c, so index j+kj
+/// reads input column j+kj-pad (zero outside the sample).  `yrow` is row
+/// oi of channel 0; row oi+r of any channel sits r*wout floats further
+/// into the same plane.  Rows are walked in S-column tiles; a single-row
+/// tile finishes the row in halving widths (24 columns run as 16 + 8, 40
+/// as 32 + 8).  conv_tile_for only picks a tile whose walk covers the row
+/// exactly, so there is no scalar column tail.
+template <int R, int S>
+void conv_direct_rows(const DirectConv& a, const float* const* ptrs,
+                      float* yrow) {
+  for (int o0 = 0; o0 < a.O; o0 += kConvOr) {
+    const float* wp = a.wp + static_cast<std::size_t>(o0) * a.K;
+    float* out = yrow + static_cast<std::int64_t>(o0) * a.cols;
+    int j = 0;
+    for (; j + S <= a.wout; j += S)
+      conv_direct_tile<R, S>(a, ptrs, wp, j, out + j);
+    if constexpr (R == 1 && S > 16)
+      for (; j + 16 <= a.wout; j += 16)
+        conv_direct_tile<1, 16>(a, ptrs, wp, j, out + j);
+    if constexpr (R == 1 && S > 8)
+      for (; j + 8 <= a.wout; j += 8)
+        conv_direct_tile<1, 8>(a, ptrs, wp, j, out + j);
+  }
+}
+#endif
+
+/// The direct kernel's tile for one conv, or none (the packed GEMM).  This
+/// one table decides both the direct/GEMM routing and the tiling, from the
+/// geometry alone (never the batch or the thread count), and either choice
+/// is bitwise-neutral by the chain contract:
+///
+///   stride 1, O % kConvOr == 0    16-lane (AVX-512)      8-lane builds
+///   Wout == 4,  Hout % 4 == 0     4x4                    GEMM
+///   Wout == 8,  Hout % 4 == 0     4x8                    1x16 (walks 8)
+///   Wout == 8,  Hout % 2 == 0     2x8                    1x16 (walks 8)
+///   Wout == 16, Hout % 2 == 0     2x16                   1x16
+///   any other Wout % 8 == 0       1x32 (walks 16, 8)     1x16 (walks 8)
+///
+/// Everything else takes the GEMM: widths that are not a multiple of 8
+/// (e.g. the 12-wide stage of a 24x24 plane), strided convs, channel
+/// counts that are not a multiple of kConvOr (the 1x1 8->1 head), and
+/// builds without vector extensions (the GEMM keeps its scalar fallback).
+ConvTile conv_tile_for(const Conv2dGeom& g) {
 #if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 4 <= Wout; j += 4)
-      conv_direct_block_quad<WP>(prows0, prows1, prows2, prows3, wob, K, C,
-                                 kh, kw, j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-        dst[2 * Wout] = conv_direct_one(prows2, wi, C, kh, kw, j);
-        dst[3 * Wout] = conv_direct_one(prows3, wi, C, kh, kw, j);
-      }
+  const int H = g.out_height, W = g.out_width;
+  if (g.stride != 1 || g.out_channels % kConvOr != 0) return {};
+  if constexpr (kConvLanes == 16) {
+    if (W == 4 && H % 4 == 0) return {4, 4, conv_direct_rows<4, 4>};
+    if (W == 8 && H % 4 == 0) return {4, 8, conv_direct_rows<4, 8>};
+    if (W == 8 && H % 2 == 0) return {2, 8, conv_direct_rows<2, 8>};
+    if (W == 16 && H % 2 == 0) return {2, 16, conv_direct_rows<2, 16>};
   }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
-      out[2 * Wout + j] = conv_direct_one(prows2, wo, C, kh, kw, j);
-      out[3 * Wout + j] = conv_direct_one(prows3, wo, C, kh, kw, j);
-    }
-  }
+  if (W % 8 == 0)
+    return {1, 2 * kConvLanes, conv_direct_rows<1, 2 * kConvLanes>};
 #else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-  conv_direct_row<WP>(prows2, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + 2 * Wout);
-  conv_direct_row<WP>(prows3, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + 3 * Wout);
+  (void)g;
 #endif
+  return {};
 }
 
-/// Two adjacent output rows oi and oi+1 at once for 16-wide outputs: each
-/// row is one full 16-lane block, the pair shares weight broadcasts
-/// (conv_direct_block2_rows).
-template <bool WP>
-void conv_direct_row2_wide(const float* const* prows0,
-                           const float* const* prows1, const float* wgt,
-                           const float* wp, int O, int K, int C, int kh,
-                           int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 16 <= Wout; j += 16)
-      conv_direct_block2_rows<VOut16, WP>(prows0, prows1, wob, K, C, kh, kw,
-                                          j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-      }
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 16 <= Wout; j += 16) {
-      conv_direct_block1<VOut16>(prows0, wo, C, kh, kw, j, out);
-      conv_direct_block1<VOut16>(prows1, wo, C, kh, kw, j, out + Wout);
-    }
-    for (; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
-    }
-  }
-#else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-#endif
-}
-
-/// Four adjacent 8-wide output rows oi..oi+3 at once: two row-pair vectors
-/// sharing weight broadcasts (conv_direct_block_pair2).
-template <bool WP>
-void conv_direct_row_quad8(const float* const* prows0,
-                           const float* const* prows1,
-                           const float* const* prows2,
-                           const float* const* prows3, const float* wgt,
-                           const float* wp, int O, int K, int C, int kh,
-                           int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block_pair2<WP>(prows0, prows1, prows2, prows3, wob, K, C,
-                                  kh, kw, j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-        dst[2 * Wout] = conv_direct_one(prows2, wi, C, kh, kw, j);
-        dst[3 * Wout] = conv_direct_one(prows3, wi, C, kh, kw, j);
-      }
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
-      out[2 * Wout + j] = conv_direct_one(prows2, wo, C, kh, kw, j);
-      out[3 * Wout + j] = conv_direct_one(prows3, wo, C, kh, kw, j);
-    }
-  }
-#else
-  conv_direct_row_pair<WP>(prows0, prows1, wgt, wp, O, K, C, kh, kw, Wout,
-                           cols, yrow);
-  conv_direct_row_pair<WP>(prows2, prows3, wgt, wp, O, K, C, kh, kw, Wout,
-                           cols, yrow + 2 * Wout);
-#endif
-}
-
-/// Routes one row-group job to the row driver matching its geometry (see
-/// the rpj selection in conv2d_gn_act_fwd_packed).  `ptrs` holds rpj
-/// consecutive pointer tables of n_rows entries each.
-template <bool WP>
-void conv_direct_rows_dispatch(int rpj, int Wout, const float* const* ptrs,
-                               std::size_t n_rows, const float* w,
-                               const float* wp, int O, int K, int C, int kh,
-                               int kw, std::int64_t cols, float* yrow) {
-  if (rpj == 4 && Wout == 4)
-    conv_direct_row_quad<WP>(ptrs, ptrs + n_rows, ptrs + 2 * n_rows,
-                             ptrs + 3 * n_rows, w, wp, O, K, C, kh, kw, Wout,
-                             cols, yrow);
-  else if (rpj == 4)
-    conv_direct_row_quad8<WP>(ptrs, ptrs + n_rows, ptrs + 2 * n_rows,
-                              ptrs + 3 * n_rows, w, wp, O, K, C, kh, kw,
-                              Wout, cols, yrow);
-  else if (rpj == 2 && Wout == 16)
-    conv_direct_row2_wide<WP>(ptrs, ptrs + n_rows, w, wp, O, K, C, kh, kw,
-                              Wout, cols, yrow);
-  else if (rpj == 2)
-    conv_direct_row_pair<WP>(ptrs, ptrs + n_rows, w, wp, O, K, C, kh, kw,
-                             Wout, cols, yrow);
-  else
-    conv_direct_row<WP>(ptrs, w, wp, O, K, C, kh, kw, Wout, cols, yrow);
+/// Does the fused block take the packed GEMM (per sample at batch 1, as
+/// one whole-batch product at batch > 1)?
+bool fused_conv_uses_gemm(const Conv2dGeom& g) {
+  return conv_tile_for(g).run == nullptr;
 }
 
 inline float apply_act(ActKind act, float slope, float v) {
@@ -1285,21 +832,6 @@ void CpuBackend::concat_channels_fwd(int batch, int channels_a, int channels_b,
   }
 }
 
-/// Does the fused block take the packed GEMM for a single sample?  The
-/// direct kernel only pays off on whole 8-column vector blocks: any other
-/// stride-1 width (e.g. the 12-wide stage of a 24x24 plane, which would run
-/// 4 scalar tail columns per row) goes to the packed GEMM, as do strided
-/// convs.  4-wide outputs with a multiple-of-4 height stay direct on
-/// 16-lane hosts via quad row packing (conv_direct_block_quad).  The branch
-/// in conv2d_gn_act_fwd_packed below consumes this predicate directly;
-/// batch-independent by construction, and bitwise-neutral by the chain
-/// contract.
-static bool fused_conv_uses_gemm(const Conv2dGeom& g) {
-  if (g.stride != 1) return true;
-  if (g.out_width % 8 == 0) return false;
-  return !(kConvPairRows && g.out_width == 4 && g.out_height % 4 == 0);
-}
-
 std::size_t CpuBackend::conv_weight_pack_floats(const Conv2dGeom& g) {
   // GEMM-fallback convs consume a gemm_pack_a A panel — per sample at
   // batch 1, as one whole-batch product at batch > 1.  Direct-kernel convs
@@ -1308,13 +840,10 @@ std::size_t CpuBackend::conv_weight_pack_floats(const Conv2dGeom& g) {
   // lines (one per output channel), which falls out of L1 as soon as
   // O * K * 4 bytes does — exactly the deep narrow stages; the transposed
   // panel puts each k's block of weights on one line.  Values and FMA
-  // order are untouched, so the packed form is bitwise-neutral.  Only full
-  // kConvOr blocks are packed; the remainder channels (the 1-channel head)
-  // read the raw filters.
+  // order are untouched, so the packed form is bitwise-neutral.
   const int K = g.in_channels * g.kernel_h * g.kernel_w;
   if (fused_conv_uses_gemm(g)) return gemm_packed_a_floats(g.out_channels, K);
-  return static_cast<std::size_t>(g.out_channels - g.out_channels % kConvOr) *
-         static_cast<std::size_t>(K);
+  return static_cast<std::size_t>(g.out_channels) * static_cast<std::size_t>(K);
 }
 
 void CpuBackend::conv_weight_pack(const Conv2dGeom& g, const float* w,
@@ -1325,19 +854,10 @@ void CpuBackend::conv_weight_pack(const Conv2dGeom& g, const float* w,
     gemm_pack_a(w, O, K, dst);
     return;
   }
-  for (int ob = 0; ob + kConvOr <= O; ob += kConvOr)
+  for (int ob = 0; ob < O; ob += kConvOr)
     for (int k = 0; k < K; ++k)
       for (int i = 0; i < kConvOr; ++i)
         *dst++ = w[static_cast<std::size_t>(ob + i) * K + k];
-}
-
-void CpuBackend::conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps,
-                                   ActKind act, float slope, const float* x,
-                                   const float* w, const float* bias,
-                                   const float* gamma, const float* beta,
-                                   float* y) {
-  conv2d_gn_act_fwd_packed(g, groups, eps, act, slope, x, w, nullptr, bias,
-                           gamma, beta, y);
 }
 
 void CpuBackend::conv2d_gn_act_fwd_packed(
@@ -1364,8 +884,9 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
       kSerialConvUnfoldElems)
     serial.emplace();
 
+  const ConvTile tile = conv_tile_for(g);
   bool epilogue_in_kernel = false;
-  if (g.batch > 1 && fused_conv_uses_gemm(g)) {
+  if (g.batch > 1 && !tile.run) {
     // Whole-batch fused GEMM: every sample's unfold columns concatenate
     // into one (K x batch*cols) right-hand side and the filters multiply
     // it in a single product.  The per-sample fallback at these narrow
@@ -1403,15 +924,24 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                         sizeof(float) * static_cast<std::size_t>(cols));
           }
         });
-  } else if (!fused_conv_uses_gemm(g)) {
-    // The direct kernel's vector blocks cover whole 8-column groups (or 4
-    // columns with quad row packing); any remainder falls to the scalar
-    // path, whose serial FMA chain runs ~4x slower per product than the
-    // GEMM (which flattens all Hout*Wout pixels into one vectorizable
-    // axis).  Every other width — the 12-wide stage of a 24x24 plane, the
-    // deepest stages of a small-window UNet — takes the GEMM branch
-    // instead; the shared chain contract keeps the two bitwise identical.
-    // Direct convolution (see the block comment above conv_direct_one).
+  } else if (tile.run) {
+    // Direct convolution (the "Direct stride-1 convolution" block comment
+    // above) in the register tile conv_tile_for picked; the tile's column
+    // walk covers each output row exactly.
+    NF_CHECK(Hout % tile.rows == 0 &&
+                 Wout % (tile.rows == 1 ? 8 : tile.cols) == 0,
+             "conv2d_gn_act_fwd: %dx%d output does not tile by %dx%d", Hout,
+             Wout, tile.rows, tile.cols);
+    // The kernel reads the [k][o] panel; without a pre-packed one the
+    // filters are packed here, once per call on the caller thread (pool
+    // jobs only read it) — the same values in the same FMA order.
+    const float* wp = packed_w;
+    if (!wp) {
+      static thread_local AlignedBuffer<float> tls_wpanel;
+      float* panel = tls_wpanel.ensure(conv_weight_pack_floats(g));
+      conv_weight_pack(g, w, panel);
+      wp = panel;
+    }
     // The zero-padded input plane is materialized ONCE per call (disjoint
     // row writes, any order — the pads are constants), then every output
     // row just indexes into it: the per-output-row jobs touch no scratch
@@ -1451,15 +981,10 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
           });
       padded = pad;
     }
-    // Group adjacent rows per job so the block kernels can fill wide
-    // vectors (4- and 8-wide outputs) and share weight broadcasts across
-    // rows (8- and 16-wide); the grouping depends only on the geometry,
-    // never the thread count.
-    const bool quad = kConvPairRows && Wout == 4;  // gated by Hout % 4 above
-    const bool quad8 = kConvPairRows && Wout == 8 && Hout % 4 == 0;
-    const bool pair = kConvPairRows && Wout == 8 && Hout % 2 == 0;
-    const bool pair16 = kConvPairRows && Wout == 16 && Hout % 2 == 0;
-    const int rpj = quad || quad8 ? 4 : pair || pair16 ? 2 : 1;
+    // One job per tile row group: the grouping depends only on the
+    // geometry, never the thread count.
+    const int rpj = tile.rows;
+    const DirectConv dc{wp, n_rows, C, kh, kw, K, O, Wout, cols};
     const int jobs_per_sample = Hout / rpj;
     const std::size_t jobs =
         static_cast<std::size_t>(g.batch) * jobs_per_sample;
@@ -1499,14 +1024,7 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                                  prow_len;
             float* yrow = y + static_cast<std::int64_t>(n) * O * cols +
                           static_cast<std::int64_t>(oi) * Wout;
-            if (packed_w)
-              conv_direct_rows_dispatch<true>(rpj, Wout, ptrs, n_rows, w,
-                                              packed_w, O, K, C, kh, kw,
-                                              cols, yrow);
-            else
-              conv_direct_rows_dispatch<false>(rpj, Wout, ptrs, n_rows, w,
-                                               nullptr, O, K, C, kh, kw,
-                                               cols, yrow);
+            tile.run(dc, ptrs, yrow);
             if (!fold) continue;
             // Bias + activation on the rows this job just wrote, exactly the
             // arithmetic of the standalone epilogue pass (bias add only when
@@ -1525,7 +1043,7 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
           }
         });
   } else {
-    // Strided and narrow-output layers fall back to the packed GEMM with
+    // Every conv without a direct tile takes the packed GEMM with
     // its right-hand side gathered straight from the input sample
     // (pack_conv_sliver) — no im2col buffer in this path either, and
     // bitwise identical to the direct kernel by the shared chain contract.

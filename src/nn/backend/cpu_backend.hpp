@@ -11,9 +11,11 @@ namespace neurfill::nn {
 /// grow-only and thread_local, so concurrent dispatch from different
 /// threads is safe and steady-state calls allocate nothing.
 ///
-/// The fused conv2d_gn_act_fwd block additionally packs the GEMM right-hand
-/// side straight from the input tensor (gemm_internal.hpp), skipping the
-/// im2col materialization entirely; its results stay bitwise identical to
+/// The fused conv2d_gn_act_fwd_packed block runs each conv either as a
+/// direct stride-1 convolution in one register tile chosen from its
+/// geometry, or as the packed GEMM with its right-hand side gathered
+/// straight from the input tensor (gemm_internal.hpp); either way it skips
+/// the im2col materialization, and its results stay bitwise identical to
 /// the unfused kernel chain because the packed values and every
 /// accumulation order are unchanged (docs/inference.md).
 class CpuBackend final : public Backend {
@@ -49,10 +51,6 @@ class CpuBackend final : public Backend {
   void concat_channels_fwd(int batch, int channels_a, int channels_b,
                            std::int64_t plane, const float* a, const float* b,
                            float* y) override;
-  void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps,
-                         ActKind act, float slope, const float* x,
-                         const float* w, const float* bias, const float* gamma,
-                         const float* beta, float* y) override;
   std::size_t conv_weight_pack_floats(const Conv2dGeom& g) override;
   void conv_weight_pack(const Conv2dGeom& g, const float* w,
                         float* dst) override;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -81,6 +82,10 @@ std::vector<nn::Tensor> CmpSurrogate::forward_heights(
   if (!meta)
     return Error(ErrorCode::kIo, "surrogate.io",
                  "'" + meta_path + "': cannot open for writing");
+  // Every number at max_digits10, so the reloaded surrogate is bitwise
+  // the one that was saved (the stream default of 6 digits rounds a
+  // trained height_scale).
+  meta.precision(std::numeric_limits<double>::max_digits10);
   const SurrogateConfig& c = s.config();
   meta << "unet " << c.unet.in_channels << ' ' << c.unet.out_channels << ' '
        << c.unet.base_channels << ' ' << c.unet.depth << ' '

@@ -317,6 +317,95 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
   }
 }
 
+/// Runs one fused-conv geometry through conv2d_gn_act_fwd_packed, with a
+/// null and (when the backend offers one) a pre-packed weight panel, and
+/// compares it bitwise against the unfused conv2d_fwd -> group_norm_fwd ->
+/// activation chain, with and without normalization.
+void expect_fused_matches_unfused(const nn::Conv2dGeom& g, std::uint64_t seed) {
+  nn::Backend& be = nn::backend();
+  const int O = g.out_channels;
+  const int K = g.in_channels * g.kernel_h * g.kernel_w;
+  const std::size_t out_n =
+      static_cast<std::size_t>(g.batch) * O * g.out_height * g.out_width;
+  const auto x = random_input(
+      static_cast<std::size_t>(g.batch) * g.in_channels * g.height * g.width,
+      seed);
+  const auto w = random_input(static_cast<std::size_t>(O) * K, seed + 1);
+  const auto bias = random_input(O, seed + 2);
+  const auto gamma = random_input(O, seed + 3);
+  const auto beta = random_input(O, seed + 4);
+  std::vector<float> panel(be.conv_weight_pack_floats(g));
+  if (!panel.empty()) be.conv_weight_pack(g, w.data(), panel.data());
+
+  const float eps = nn::GroupNormGeom{}.eps, slope = 0.1f;
+  for (const int groups : {0, O == 1 ? 1 : O / 4}) {
+    const nn::ActKind act =
+        groups > 0 ? nn::ActKind::kRelu : nn::ActKind::kLeakyRelu;
+    std::vector<float> ref(out_n), conv(out_n);
+    be.conv2d_fwd(g, x.data(), w.data(), bias.data(), conv.data());
+    if (groups > 0) {
+      nn::GroupNormGeom ng;
+      ng.batch = g.batch;
+      ng.channels = O;
+      ng.height = g.out_height;
+      ng.width = g.out_width;
+      ng.groups = groups;
+      ng.eps = eps;
+      be.group_norm_fwd(ng, conv.data(), gamma.data(), beta.data(),
+                        ref.data(), nullptr, nullptr);
+      be.unary_map(nn::UnaryKind::kRelu, 0.0f, ref.data(), ref.data(),
+                   static_cast<std::int64_t>(out_n));
+    } else {
+      be.unary_map(nn::UnaryKind::kLeakyRelu, slope, conv.data(), ref.data(),
+                   static_cast<std::int64_t>(out_n));
+    }
+    for (const bool packed : {false, true}) {
+      if (packed && panel.empty()) continue;
+      std::vector<float> y(out_n);
+      be.conv2d_gn_act_fwd_packed(g, groups, eps, act, slope, x.data(),
+                                  w.data(), packed ? panel.data() : nullptr,
+                                  bias.data(), gamma.data(), beta.data(),
+                                  y.data());
+      EXPECT_TRUE(bitwise_equal(y.data(), ref.data(), out_n))
+          << "C=" << g.in_channels << " O=" << O << " k=" << g.kernel_h
+          << " P=" << g.padding << " out " << g.out_height << "x"
+          << g.out_width << " B=" << g.batch << " groups=" << groups
+          << " packed=" << packed;
+    }
+  }
+}
+
+TEST(Backend, FusedConvMatchesUnfusedChainOverTileGeometries) {
+  // The fused block routes each geometry to a direct-conv register tile or
+  // to the packed GEMM; either way every output element must equal the
+  // unfused chain bitwise.  The sweep covers every tile shape (single,
+  // paired and quadrupled rows; 8/16/32-column blocks and their mixes at
+  // 24 and 40 columns), odd heights, the 1-channel head, and a 32-channel
+  // input whose K = 288 crosses a GEMM K-slab boundary.
+  std::uint64_t seed = 200;
+  for (const int C : {3, 32})
+    for (const int O : {1, 8, 16})
+      for (const int k : {1, 3})
+        for (const int P : {0, 1})
+          for (const int Wout : {4, 8, 16, 24, 32, 40})
+            for (int Hout = 1; Hout <= 8; ++Hout)
+              for (const int B : {1, 3}) {
+                nn::Conv2dGeom g;
+                g.batch = B;
+                g.in_channels = C;
+                g.out_channels = O;
+                g.kernel_h = k;
+                g.kernel_w = k;
+                g.padding = P;
+                g.out_height = Hout;
+                g.out_width = Wout;
+                g.height = Hout - 2 * P + k - 1;
+                g.width = Wout - 2 * P + k - 1;
+                if (g.height < 1 || g.width < 1) continue;
+                expect_fused_matches_unfused(g, seed += 5);
+              }
+}
+
 TEST(InferenceSession, VjpMatchesTapeInputGradientBitwise) {
   // The session's reverse pass against Tensor::backward on the module
   // forward: with and without group norm, on a 12x8 plane and on the fill's

@@ -308,6 +308,32 @@ TEST(SurrogateIo, SaveLoadRoundTrip) {
   std::remove((prefix + ".weights").c_str());
 }
 
+TEST(SurrogateIo, MetaNumbersRoundTripAtFullPrecision) {
+  // A trained height_scale carries 17 significant digits; the reloaded
+  // surrogate must hold exactly the saved values, not a 6-digit rounding.
+  CmpSurrogate s(tiny_config(), 14);
+  SurrogateConfig& c = s.mutable_config();
+  c.features.height_scale = 207.24483490863716;
+  c.features.height_offset = -0.1234567890123456789;
+  c.features.window_um = 100.0 / 3.0;
+  c.topo_transfer = 0.8 + 1e-13;
+  c.outlier_eta = 1.0 / 7.0;
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "nf_surrogate_meta_test")
+          .string();
+  ASSERT_TRUE(save_surrogate(s, prefix).ok());
+  auto loaded = load_surrogate(prefix);
+  ASSERT_TRUE(loaded.ok());
+  const SurrogateConfig& r = (*loaded)->config();
+  EXPECT_EQ(r.features.height_scale, c.features.height_scale);
+  EXPECT_EQ(r.features.height_offset, c.features.height_offset);
+  EXPECT_EQ(r.features.window_um, c.features.window_um);
+  EXPECT_EQ(r.topo_transfer, c.topo_transfer);
+  EXPECT_EQ(r.outlier_eta, c.outlier_eta);
+  std::remove((prefix + ".meta").c_str());
+  std::remove((prefix + ".weights").c_str());
+}
+
 TEST(SurrogateEval, ReportFieldsConsistent) {
   const Layout a = make_design_a(1600.0, 2, 17);
   TrainingDataGenerator gen({extract_windows(a)}, CmpSimulator(fast_params()),
