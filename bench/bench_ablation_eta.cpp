@@ -31,18 +31,12 @@ int main() {
   std::printf("\n%8s %16s %16s %18s\n", "eta", "relaxed ol", "exact ol",
               "final quality");
   for (const double eta : {0.005, 0.02, 0.05, 0.2, 1.0}) {
-    // Clone the surrogate with a different eta (weights shared via re-load
-    // of config; the UNet itself is identical so predictions match).
+    // Clone the surrogate with a different eta; the weights are copied, so
+    // the predictions match.
     auto cfg = base.surrogate->config();
     cfg.outlier_eta = eta;
     auto clone = std::make_shared<CmpSurrogate>(cfg, 1);
-    // Copy weights tensor-by-tensor.
-    const auto src = base.surrogate->unet().named_parameters();
-    const auto dst = clone->unet().named_parameters();
-    for (std::size_t i = 0; i < src.size(); ++i)
-      std::copy(src[i].second.data(),
-                src[i].second.data() + src[i].second.numel(),
-                dst[i].second.data());
+    clone->parameters() = base.surrogate->parameters();
     CmpNetwork network(clone, base.problem.extraction(),
                        base.problem.coefficients());
 

@@ -20,17 +20,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "nn/infer/session.hpp"
-#include "nn/ops.hpp"
-#include "nn/tensor.hpp"
-#include "nn/unet.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/features.hpp"
+#include "tape/ops.hpp"
+#include "tape/tensor.hpp"
+#include "tape/unet.hpp"
 
 namespace {
 
@@ -61,7 +62,9 @@ int main(int argc, char** argv) {
   cfg.depth = 3;
   Rng rng(21);
   nn::UNet net(cfg, rng);
-  const nn::InferenceSession session(net, kHeight, kWidth);
+  const auto params =
+      std::make_shared<const nn::ParameterSet>(nn::to_parameter_set(net));
+  const nn::InferenceSession session(cfg, params, kHeight, kWidth);
 
   std::vector<float> input(
       static_cast<std::size_t>(cfg.in_channels) * kHeight * kWidth);
@@ -101,7 +104,7 @@ int main(int argc, char** argv) {
   constexpr int kMaxBatch = 16;
   nn::InferenceOptions bopts;
   bopts.max_batch = kMaxBatch;
-  const nn::InferenceSession bsession(net, kHeight, kWidth, bopts);
+  const nn::InferenceSession bsession(cfg, params, kHeight, kWidth, bopts);
   std::vector<float> binput(input.size() * kMaxBatch);
   for (int b = 0; b < kMaxBatch; ++b)
     std::copy(input.begin(), input.end(),
@@ -127,7 +130,10 @@ int main(int argc, char** argv) {
   nn::UNetConfig gn_cfg = cfg;
   gn_cfg.use_group_norm = true;
   nn::UNet gn_net(gn_cfg, rng);
-  const nn::InferenceSession gn_session(gn_net, kHeight, kWidth);
+  const nn::InferenceSession gn_session(
+      gn_cfg,
+      std::make_shared<const nn::ParameterSet>(nn::to_parameter_set(gn_net)),
+      kHeight, kWidth);
   const std::vector<float> d_output(output.size(), 1.0f / kHeight);
   std::vector<float> d_input(input.size());
   nn::InferenceSession::SavedActivations saved;

@@ -22,8 +22,8 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "nn/gemm.hpp"
-#include "nn/ops.hpp"
 #include "runtime/parallel.hpp"
+#include "tape/ops.hpp"
 
 namespace {
 

@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
 
   SurrogateConfig config;  // UNet base 8, depth 3, group norm
   CmpSurrogate surrogate(config, seed);
-  std::printf("UNet parameters: %lld\n",
-              static_cast<long long>(surrogate.unet().parameter_count()));
+  std::printf("UNet parameters: %zu\n", surrogate.parameters().numel());
 
   TrainOptions opt;
   opt.epochs = epochs;

@@ -4,13 +4,13 @@
 #include <cstdint>
 
 // The compute-backend seam of src/nn (docs/inference.md).  Every primitive
-// kernel the tensor ops and the inference engine need — GEMM, convolution,
-// elementwise maps, the deterministic reduction, group norm, pooling,
-// upsampling, concatenation, and the fused inference block — is a virtual
-// on `Backend`.  `ops_*.cpp` (the autograd layer) and `src/nn/infer` (the
-// tape-free fast path) dispatch through `backend()` instead of calling
-// kernels directly, so a GPU or quantized implementation slots in without
-// touching either layer.
+// kernel the network engine needs — GEMM, convolution, elementwise maps,
+// the deterministic reduction, group norm, pooling, upsampling,
+// concatenation, and the fused inference block — is a virtual on
+// `Backend`.  `src/nn/infer` (the engine), the surrogate's flat-plane
+// layers and the autograd reference kept under tests/tape dispatch through
+// `backend()` instead of calling kernels directly, so a GPU or quantized
+// implementation slots in without touching any of them.
 //
 // Contract, binding for every implementation:
 //   * Determinism: each kernel's result is bitwise identical at any thread
@@ -131,7 +131,7 @@ class Backend {
   /// statistics in double over the group in flat index order.  When
   /// `mean_out`/`istd_out` are non-null they receive the per-(n,group)
   /// mean and inverse standard deviation (batch*groups entries each) for
-  /// the autograd backward.
+  /// the backward.
   virtual void group_norm_fwd(const GroupNormGeom& g, const float* x,
                               const float* gamma, const float* beta, float* y,
                               double* mean_out, double* istd_out) = 0;

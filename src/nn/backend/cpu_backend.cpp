@@ -349,7 +349,10 @@ void conv_direct_tile(const DirectConv& a, const float* const* ptrs,
   const int C = a.C, kh = a.kh, kw = a.kw, wout = a.wout;
   const std::size_t n_rows = a.n_rows;
   const std::int64_t cols = a.cols;
-  V total[NV][kConvOr] = {}, acc[NV][kConvOr] = {};
+  // `total` is written by the first K-slab flush and read only after it,
+  // so it starts uninitialized; `acc` starts each chain at zero.
+  V total[NV][kConvOr];
+  V acc[NV][kConvOr] = {};
   bool flushed = false;
   int boundary = kGemmKc;
   int k = 0;

@@ -7,7 +7,7 @@ namespace neurfill::nn {
 /// Reference CPU implementation of the Backend contract: the BLIS-style
 /// packed GEMM (cpu_gemm.cpp), im2col convolution with the serial-region
 /// small-layer scheduling, and the deterministic elementwise / reduction /
-/// normalization kernels that used to live in ops_*.cpp.  All scratch is
+/// normalization kernels.  All scratch is
 /// grow-only and thread_local, so concurrent dispatch from different
 /// threads is safe and steady-state calls allocate nothing.
 ///

@@ -4,8 +4,8 @@
 #include "nn/backend/cpu_backend.hpp"
 
 // CpuBackend adjoints of the normalization and resampling kernels, shared
-// by the autograd ops (ops_conv.cpp) and the session's input VJP
-// (nn/infer/session.cpp).  This translation unit is deliberately built with
+// by the session's VJP (nn/infer/session.cpp) and the autograd reference
+// (tests/tape/ops_conv.cpp).  This translation unit is deliberately built with
 // the project's baseline flags, not the -march=native kernel flags of
 // cpu_backend.cpp: the group-norm adjoint's double arithmetic must not be
 // contracted into FMAs, so its rounding is the same on every build and

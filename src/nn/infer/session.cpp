@@ -1,17 +1,15 @@
 #include "nn/infer/session.hpp"
 
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "common/aligned.hpp"
 #include "common/check.hpp"
-#include "nn/module.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// Graph compilation + execution for the tape-free inference fast path.
-// The compiler mirrors the module evaluation order of UNet exactly (encoder
+// Graph compilation + execution for the network engine.  The compiler
+// mirrors the evaluation order of the reference UNet exactly (encoder
 // blocks with skips and 2x2 pools, bottleneck, upsample+conv / concat /
 // double-conv decoder stages, 1x1 head) so the planned graph computes the
 // same floats through the same backend kernels — bitwise, not just within
@@ -35,6 +33,60 @@ std::size_t aligned_floats(int channels, int height, int width) {
   return (raw + 15u) & ~static_cast<std::size_t>(15u);
 }
 
+/// Offset planner over one walk of the graph, shared by the forward arena
+/// and the VJP's adjoint scratch: a slot is taken when its value (or
+/// adjoint) comes alive and given back when it dies.  Best fit over the
+/// free list: smallest adequate block, ties to the lowest offset; the
+/// remainder is split off and stays free.  Blocks are not coalesced — the
+/// graph is compiled once and the UNet's release pattern (same sizes recur
+/// every stage) reuses split blocks exactly, so coalescing would buy
+/// nothing for permanent planning cost.  Without reuse every slot is
+/// private: the aliasing-free reference.
+class SlotPlanner {
+ public:
+  explicit SlotPlanner(bool reuse) : reuse_(reuse) {}
+
+  std::size_t take(std::size_t need) {
+    std::size_t best = free_.size();
+    for (std::size_t i = 0; i < free_.size(); ++i) {
+      if (free_[i].size < need) continue;
+      if (best == free_.size() || free_[i].size < free_[best].size ||
+          (free_[i].size == free_[best].size &&
+           free_[i].offset < free_[best].offset)) {
+        best = i;
+      }
+    }
+    if (best != free_.size()) {
+      const std::size_t offset = free_[best].offset;
+      if (free_[best].size > need) {
+        free_[best].offset += need;
+        free_[best].size -= need;
+      } else {
+        free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
+      }
+      return offset;
+    }
+    const std::size_t offset = top_;
+    top_ += need;
+    return offset;
+  }
+
+  void give_back(std::size_t offset, std::size_t size) {
+    if (reuse_) free_.push_back({offset, size});
+  }
+
+  std::size_t top() const { return top_; }
+
+ private:
+  struct Block {
+    std::size_t offset;
+    std::size_t size;
+  };
+  bool reuse_;
+  std::vector<Block> free_;
+  std::size_t top_ = 0;
+};
+
 }  // namespace
 
 int InferenceSession::add_value(int channels, int height, int width) {
@@ -49,29 +101,36 @@ int InferenceSession::add_value(int channels, int height, int width) {
   return static_cast<int>(values_.size()) - 1;
 }
 
-int InferenceSession::add_conv_block(const void* conv_module,
-                                     const void* norm_module, ActKind act,
+int InferenceSession::add_conv_block(const std::string& conv,
+                                     const std::string& norm, ActKind act,
                                      int in_id) {
-  const auto* conv = static_cast<const Conv2d*>(conv_module);
-  const auto* norm = static_cast<const GroupNorm*>(norm_module);
+  const ParameterSet& p = *params_;
   const ValueSpec& in = values_[in_id];
+  const auto tensor = [&p](const std::string& name,
+                           std::size_t rank) -> const ParameterSpec& {
+    const std::size_t i = p.find(name);
+    NF_CHECK(i < p.size(), "InferenceSession: missing parameter %s",
+             name.c_str());
+    NF_CHECK(p.spec(i).shape.size() == rank,
+             "InferenceSession: parameter %s is not %zu-D", name.c_str(),
+             rank);
+    return p.spec(i);
+  };
 
-  const Tensor& w = conv->weight();
-  NF_CHECK(w.ndim() == 4, "InferenceSession: conv weight must be 4-D");
-  NF_CHECK(w.dim(1) == in.channels,
+  const ParameterSpec& w = tensor(conv + ".weight", 4);
+  NF_CHECK(w.shape[1] == in.channels,
            "InferenceSession: conv expects %d input channels, value has %d",
-           w.dim(1), in.channels);
-
+           w.shape[1], in.channels);
   Conv2dGeom g;
   g.batch = 1;  // patched to the actual batch at run time
   g.in_channels = in.channels;
   g.height = in.height;
   g.width = in.width;
-  g.out_channels = w.dim(0);
-  g.kernel_h = w.dim(2);
-  g.kernel_w = w.dim(3);
-  g.stride = conv->stride();
-  g.padding = conv->padding();
+  g.out_channels = w.shape[0];
+  g.kernel_h = w.shape[2];
+  g.kernel_w = w.shape[3];
+  g.stride = 1;
+  g.padding = g.kernel_h / 2;  // "same" convs: 3x3 pad 1, the 1x1 head pad 0
   g.out_height = (in.height + 2 * g.padding - g.kernel_h) / g.stride + 1;
   g.out_width = (in.width + 2 * g.padding - g.kernel_w) / g.stride + 1;
   NF_CHECK(g.out_height > 0 && g.out_width > 0,
@@ -83,34 +142,38 @@ int InferenceSession::add_conv_block(const void* conv_module,
   node.in0 = in_id;
   node.out = add_value(g.out_channels, g.out_height, g.out_width);
   node.conv.geom = g;
-  node.conv.weight = w.data();
+  node.conv.weight = w.offset;
+  const ParameterSpec& b = tensor(conv + ".bias", 1);
+  NF_CHECK(b.shape[0] == g.out_channels,
+           "InferenceSession: %s.bias has %d entries, expected %d",
+           conv.c_str(), b.shape[0], g.out_channels);
+  node.conv.bias = b.offset;
   node.conv.act = act;
   node.conv.slope = 0.0f;
-  keep_.push_back(w);
-  if (conv->bias().defined()) {
-    node.conv.bias = conv->bias().data();
-    keep_.push_back(conv->bias());
-  }
-  if (norm != nullptr) {
-    NF_CHECK(norm->groups() > 0 && g.out_channels % norm->groups() == 0,
-             "InferenceSession: %d channels not divisible into %d groups",
-             g.out_channels, norm->groups());
-    node.conv.groups = norm->groups();
-    node.conv.eps = 1e-5f;  // GroupNorm's module eps (ops.hpp default)
-    node.conv.gamma = norm->gamma().data();
-    node.conv.beta = norm->beta().data();
-    keep_.push_back(norm->gamma());
-    keep_.push_back(norm->beta());
+  if (!norm.empty()) {
+    const int groups = norm_groups(g.out_channels);
+    const ParameterSpec& gamma = tensor(norm + ".gamma", 1);
+    const ParameterSpec& beta = tensor(norm + ".beta", 1);
+    NF_CHECK(gamma.shape[0] == g.out_channels &&
+                 beta.shape[0] == g.out_channels,
+             "InferenceSession: %s has the wrong channel count", norm.c_str());
+    node.conv.groups = groups;
+    node.conv.eps = 1e-5f;  // GroupNorm's eps (GroupNormGeom default)
+    node.conv.gamma = gamma.offset;
+    node.conv.beta = beta.offset;
   }
   nodes_.push_back(node);
   return node.out;
 }
 
-InferenceSession::InferenceSession(const UNet& net, int height, int width,
+InferenceSession::InferenceSession(const UNetConfig& cfg,
+                                   std::shared_ptr<const ParameterSet> params,
+                                   int height, int width,
                                    InferenceOptions options)
-    : fuse_(options.fuse),
+    : params_(std::move(params)),
+      fuse_(options.fuse),
       max_batch_(options.max_batch > 1 ? options.max_batch : 1) {
-  const UNetConfig& cfg = net.config();
+  NF_CHECK(params_ != nullptr, "InferenceSession: null parameter set");
   NF_CHECK(height > 0 && width > 0, "InferenceSession: bad extent %dx%d",
            height, width);
   const int div = 1 << cfg.depth;
@@ -122,34 +185,13 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
   height_ = height;
   width_ = width;
 
-  // Index the module tree by dotted path.  (std::map keeps iteration — and
-  // any failure messages — deterministic.)
-  std::map<std::string, const Module*> index;
-  for (const auto& entry : net.named_modules())
-    index.emplace(entry.first, entry.second);
-  auto conv_at = [&index](const std::string& name) -> const Conv2d* {
-    auto it = index.find(name);
-    NF_CHECK(it != index.end(), "InferenceSession: missing module %s",
-             name.c_str());
-    const auto* conv = dynamic_cast<const Conv2d*>(it->second);
-    NF_CHECK(conv != nullptr, "InferenceSession: %s is not a Conv2d",
-             name.c_str());
-    return conv;
-  };
-  auto gn_at = [&index](const std::string& name) -> const GroupNorm* {
-    auto it = index.find(name);
-    if (it == index.end()) return nullptr;  // norm disabled in this net
-    const auto* norm = dynamic_cast<const GroupNorm*>(it->second);
-    NF_CHECK(norm != nullptr, "InferenceSession: %s is not a GroupNorm",
-             name.c_str());
-    return norm;
-  };
-  // DoubleConv evaluates conv1 -> [norm1] -> relu -> conv2 -> [norm2] ->
+  // A double conv evaluates conv1 -> [norm1] -> relu -> conv2 -> [norm2] ->
   // relu; each half is one fused block.
   auto double_conv = [&](const std::string& prefix, int v) {
-    v = add_conv_block(conv_at(prefix + ".conv1"), gn_at(prefix + ".norm1"),
+    const bool gn = cfg.use_group_norm;
+    v = add_conv_block(prefix + ".conv1", gn ? prefix + ".norm1" : "",
                        ActKind::kRelu, v);
-    return add_conv_block(conv_at(prefix + ".conv2"), gn_at(prefix + ".norm2"),
+    return add_conv_block(prefix + ".conv2", gn ? prefix + ".norm2" : "",
                           ActKind::kRelu, v);
   };
 
@@ -177,8 +219,7 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
     up.out = add_value(spec.channels, spec.height * 2, spec.width * 2);
     nodes_.push_back(up);
     // Post-upsample 3x3 conv halves the channels; no norm, no activation.
-    v = add_conv_block(conv_at("up" + std::to_string(d)), nullptr,
-                       ActKind::kNone, up.out);
+    v = add_conv_block("up" + std::to_string(d), "", ActKind::kNone, up.out);
     // concat(skip, v) — skip first, matching the module evaluation.
     const ValueSpec& a = values_[skips[d]];
     const ValueSpec& b = values_[v];
@@ -192,13 +233,14 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
     nodes_.push_back(cat);
     v = double_conv("dec" + std::to_string(d), cat.out);
   }
-  v = add_conv_block(conv_at("head"), nullptr, ActKind::kNone, v);
+  v = add_conv_block("head", "", ActKind::kNone, v);
   out_value_ = v;
   NF_CHECK(values_[out_value_].channels == cfg.out_channels,
            "InferenceSession: head produced %d channels, expected %d",
            values_[out_value_].channels, cfg.out_channels);
 
   plan_arena(options.reuse_buffers);
+  plan_adjoints(options.reuse_buffers);
   plan_saved();
   if (options.prepack_weights) prepack_weights();
 }
@@ -206,17 +248,10 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 void InferenceSession::plan_saved() {
   // The recorded pass keeps only what vjp() reads: each normalized block's
   // pre-normalization output and statistics, each ReLU block's mask, each
-  // pool's argmax.  The adjoint scratch of vjp() gives every value a slot
-  // (a value's adjoint is complete only once all its consumers have run)
-  // and appends two block-sized planes for the activation and
-  // normalization adjoints.
-  std::size_t top = 0;
-  for (ValueSpec& v : values_) {
-    if (v.external) continue;
-    v.adj_offset = top;
-    top += aligned_floats(v.channels, v.height, v.width);
-  }
-  adj_floats_ = top;
+  // pool's argmax, and for training records each conv block's input.  The
+  // adjoint scratch is planned by plan_adjoints(); vjp() appends two
+  // block-sized planes to it for the activation and normalization
+  // adjoints.
   for (Node& node : nodes_) {
     const ValueSpec& out = values_[node.out];
     const std::size_t numel = static_cast<std::size_t>(out.channels) *
@@ -236,6 +271,9 @@ void InferenceSession::plan_saved() {
         node.saved_mask = saved_mask_bytes_;
         saved_mask_bytes_ += numel;
       }
+      const ValueSpec& in = values_[node.in0];
+      node.saved_input = saved_input_floats_;
+      saved_input_floats_ += aligned_floats(in.channels, in.height, in.width);
     } else if (node.kind == Node::Kind::kMaxPool) {
       node.saved_argmax = saved_argmax_;
       saved_argmax_ += numel;
@@ -245,8 +283,7 @@ void InferenceSession::plan_saved() {
 
 std::size_t InferenceSession::saved_bytes() const {
   return saved_floats_ * sizeof(float) + saved_stats_ * sizeof(double) +
-         saved_mask_bytes_ +
-         saved_argmax_ * sizeof(std::int64_t);
+         saved_mask_bytes_ + saved_argmax_ * sizeof(std::int64_t);
 }
 
 void InferenceSession::prepack_weights() {
@@ -269,7 +306,8 @@ void InferenceSession::prepack_weights() {
   std::size_t offset = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (sizes[i] == 0) continue;
-    be.conv_weight_pack(nodes_[i].conv.geom, nodes_[i].conv.weight,
+    be.conv_weight_pack(nodes_[i].conv.geom,
+                        params_->data() + nodes_[i].conv.weight,
                         base + offset);
     nodes_[i].conv.packed_offset = static_cast<std::ptrdiff_t>(offset);
     offset += sizes[i];
@@ -287,55 +325,15 @@ void InferenceSession::plan_arena(bool reuse) {
   }
   last_use[out_value_] = n_nodes;
 
-  struct Block {
-    std::size_t offset;
-    std::size_t size;
-  };
-  std::vector<Block> free_list;
-  std::size_t top = 0;
-
-  // Best fit over the free list: smallest adequate block, ties to the
-  // lowest offset; the remainder is split off and stays free.  Blocks are
-  // not coalesced — the graph is compiled once and the UNet's release
-  // pattern (same sizes recur every stage) reuses split blocks exactly, so
-  // coalescing would buy nothing for permanent planning cost.
-  auto alloc = [&](std::size_t need) -> std::size_t {
-    if (reuse) {
-      std::size_t best = free_list.size();
-      for (std::size_t i = 0; i < free_list.size(); ++i) {
-        if (free_list[i].size < need) continue;
-        if (best == free_list.size() ||
-            free_list[i].size < free_list[best].size ||
-            (free_list[i].size == free_list[best].size &&
-             free_list[i].offset < free_list[best].offset)) {
-          best = i;
-        }
-      }
-      if (best != free_list.size()) {
-        const std::size_t offset = free_list[best].offset;
-        if (free_list[best].size > need) {
-          free_list[best].offset += need;
-          free_list[best].size -= need;
-        } else {
-          free_list.erase(free_list.begin() + static_cast<std::ptrdiff_t>(best));
-        }
-        return offset;
-      }
-    }
-    const std::size_t offset = top;
-    top += need;
-    return offset;
-  };
-
+  SlotPlanner planner(reuse);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const Node& node = nodes_[i];
     ValueSpec& out = values_[node.out];
     // Allocate the output BEFORE releasing dying inputs: kernels never run
     // in place across a node, so the output block must not alias an input
     // even when that input dies at this node.
-    out.offset =
-        alloc(aligned_floats(out.channels, out.height, out.width));
-    if (!reuse) continue;
+    out.offset = planner.take(aligned_floats(out.channels, out.height,
+                                             out.width));
     const int ins[2] = {node.in0, node.in1};
     for (int k = 0; k < 2; ++k) {
       const int vid = ins[k];
@@ -343,13 +341,46 @@ void InferenceSession::plan_arena(bool reuse) {
       if (k == 1 && node.in1 == node.in0) continue;  // consumed twice
       if (last_use[vid] == i) {
         const ValueSpec& spec = values_[vid];
-        free_list.push_back(
-            {spec.offset,
-             aligned_floats(spec.channels, spec.height, spec.width)});
+        planner.give_back(spec.offset, aligned_floats(spec.channels,
+                                                      spec.height, spec.width));
       }
     }
   }
-  arena_floats_ = top;
+  arena_floats_ = planner.top();
+}
+
+void InferenceSession::plan_adjoints(bool reuse) {
+  // The reverse walk's liveness: a value's adjoint is first written by its
+  // last consumer (the first node the walk meets) and last read by its
+  // producer, after which it is dead.  The same planner as the arena, over
+  // reverse node order: each node takes its inputs' slots (zeroed by vjp()
+  // when taken, as the tape zero-seeds its grad buffers) before giving
+  // back its output's, because a node reads its output adjoint while it
+  // accumulates into its inputs'.
+  SlotPlanner planner(reuse);
+  std::vector<bool> taken(values_.size(), false);
+  const auto floats = [this](int vid) {
+    const ValueSpec& v = values_[vid];
+    return aligned_floats(v.channels, v.height, v.width);
+  };
+  values_[out_value_].adj_offset = planner.take(floats(out_value_));
+  taken[out_value_] = true;
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    Node& node = *it;
+    const int ins[2] = {node.in0, node.in1};
+    bool* zero[2] = {&node.zero_adj0, &node.zero_adj1};
+    for (int k = 0; k < 2; ++k) {
+      const int vid = ins[k];
+      if (vid < 0 || values_[vid].external || taken[vid]) continue;
+      taken[vid] = true;
+      values_[vid].adj_offset = planner.take(floats(vid));
+      *zero[k] = true;
+    }
+    NF_CHECK(taken[node.out], "InferenceSession: value %d is never consumed",
+             node.out);
+    planner.give_back(values_[node.out].adj_offset, floats(node.out));
+  }
+  adj_floats_ = planner.top();
 }
 
 float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
@@ -390,7 +421,8 @@ void InferenceSession::run(const float* input, float* output,
 }
 
 void InferenceSession::run_saving(const float* input, float* output,
-                                  SavedActivations& saved) const {
+                                  SavedActivations& saved,
+                                  bool training) const {
   NF_CHECK(input != nullptr && output != nullptr,
            "InferenceSession::run_saving: null buffer");
   NF_COUNTER_ADD("infer.samples", 1);
@@ -398,6 +430,8 @@ void InferenceSession::run_saving(const float* input, float* output,
   saved.stats.ensure(saved_stats_);
   saved.relu_mask.ensure(saved_mask_bytes_);
   saved.argmax.ensure(saved_argmax_);
+  if (training) saved.conv_input.ensure(saved_input_floats_);
+  saved.training = training;
   execute(input, output, 1, thread_arena(1), &saved);
 }
 
@@ -412,6 +446,7 @@ void InferenceSession::execute(const float* input, float* output, int batch,
   // session silently falls back to the pack-per-call path (same results).
   const float* packs =
       (&be == pack_backend_) ? packed_weights_.data() : nullptr;
+  const float* P = params_->data();
   for (const Node& node : nodes_) {
     const ValueSpec& in_spec = values_[node.in0];
     const float* in0 = in_spec.external ? input : at(node.in0);
@@ -428,10 +463,17 @@ void InferenceSession::execute(const float* input, float* output, int batch,
         const std::int64_t numel = static_cast<std::int64_t>(batch) *
                                    g.out_channels * g.out_height *
                                    g.out_width;
+        const float* weight = P + c.weight;
+        const float* bias = P + c.bias;
+        const float* gamma = c.groups > 0 ? P + c.gamma : nullptr;
+        const float* beta = c.groups > 0 ? P + c.beta : nullptr;
+        if (saved != nullptr && saved->training)
+          std::memcpy(saved->conv_input.data() + node.saved_input, in0,
+                      static_cast<std::size_t>(in_spec.channels) *
+                          in_spec.height * in_spec.width * sizeof(float));
         if (fuse_ && !keep_norm_input) {
           be.conv2d_gn_act_fwd_packed(g, c.groups, c.eps, c.act, c.slope, in0,
-                                      c.weight, pw, c.bias, c.gamma, c.beta,
-                                      out);
+                                      weight, pw, bias, gamma, beta, out);
         } else {
           // The unfused chain, bitwise equal to the fused kernel: the
           // fusion-free reference (fuse = false), and a recorded normalized
@@ -445,10 +487,10 @@ void InferenceSession::execute(const float* input, float* output, int batch,
                               : nullptr;
           if (fuse_)
             be.conv2d_gn_act_fwd_packed(g, 0, c.eps, ActKind::kNone, 0.0f,
-                                        in0, c.weight, pw, c.bias, nullptr,
+                                        in0, weight, pw, bias, nullptr,
                                         nullptr, conv_out);
           else
-            be.conv2d_fwd(g, in0, c.weight, c.bias, conv_out);
+            be.conv2d_fwd(g, in0, weight, bias, conv_out);
           if (c.groups > 0) {
             GroupNormGeom ng;
             ng.batch = batch;
@@ -457,7 +499,7 @@ void InferenceSession::execute(const float* input, float* output, int batch,
             ng.width = g.out_width;
             ng.groups = c.groups;
             ng.eps = c.eps;
-            be.group_norm_fwd(ng, conv_out, c.gamma, c.beta, out, stats,
+            be.group_norm_fwd(ng, conv_out, gamma, beta, out, stats,
                               stats != nullptr ? stats + c.groups : nullptr);
           }
           if (c.act == ActKind::kRelu)
@@ -503,40 +545,51 @@ void InferenceSession::execute(const float* input, float* output, int batch,
 }
 
 void InferenceSession::vjp(const SavedActivations& saved,
-                           const float* d_output, float* d_input) const {
-  NF_CHECK(d_output != nullptr && d_input != nullptr,
-           "InferenceSession::vjp: null buffer");
+                           const float* d_output, float* d_input,
+                           float* d_params) const {
+  NF_CHECK(d_output != nullptr, "InferenceSession::vjp: null buffer");
+  NF_CHECK(d_params == nullptr || saved.training,
+           "InferenceSession::vjp: parameter adjoints need a training record");
   NF_TRACE_SPAN("nn.infer_vjp");
-  // Per-thread adjoint scratch: one slot per value, then
-  // the activation and normalization adjoints of the block in flight.  All
-  // value adjoints start at zero and every consumer accumulates into them,
-  // exactly as the tape's grad buffers do — including the +0 a zero-seeded
-  // accumulation gives a -0 contribution.
+  // Per-thread adjoint scratch: the liveness-planned value slots, then
+  // the activation and normalization adjoints of the block in flight.  A
+  // value's slot is zeroed when the walk takes it and every consumer
+  // accumulates into it, exactly as the tape's grad buffers do — including
+  // the +0 a zero-seeded accumulation gives a -0 contribution.
   static thread_local AlignedBuffer<float> tls_adjoint;
   float* adj = tls_adjoint.ensure(adj_floats_ + 2 * max_block_floats_);
-  std::memset(adj, 0, adj_floats_ * sizeof(float));
   float* d_act = adj + adj_floats_;
   float* d_pre = d_act + max_block_floats_;
-  const std::size_t in_floats = static_cast<std::size_t>(in_channels_) *
-                                static_cast<std::size_t>(height_) * width_;
-  std::memset(d_input, 0, in_floats * sizeof(float));
+  if (d_input != nullptr)
+    std::memset(d_input, 0,
+                static_cast<std::size_t>(in_channels_) * height_ * width_ *
+                    sizeof(float));
   const auto adj_of = [&](int vid) -> float* {
     return values_[vid].external ? d_input : adj + values_[vid].adj_offset;
   };
-  const ValueSpec& out_spec = values_[out_value_];
+  const auto numel_of = [this](int vid) {
+    const ValueSpec& v = values_[vid];
+    return static_cast<std::size_t>(v.channels) * v.height * v.width;
+  };
   std::memcpy(adj_of(out_value_), d_output,
-              static_cast<std::size_t>(out_spec.channels) * out_spec.height *
-                  out_spec.width * sizeof(float));
+              numel_of(out_value_) * sizeof(float));
 
   Backend& be = backend();
+  const float* P = params_->data();
   // Reverse node order is a reverse topological order of the graph.  The
   // only values with two consumers are the encoder skips (pool, concat);
   // their adjoint is the sum of two contributions onto zero, which is
   // order-independent in IEEE arithmetic — the later consumer (concat)
-  // still goes first, as on the tape.
+  // still goes first, as on the tape.  Each parameter is read by exactly
+  // one block, so its adjoint takes one contribution per pass, in the
+  // order the caller runs the passes.
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
     const Node& node = *it;
     const ValueSpec& in_spec = values_[node.in0];
+    if (node.zero_adj0)
+      std::memset(adj_of(node.in0), 0, numel_of(node.in0) * sizeof(float));
+    if (node.zero_adj1)
+      std::memset(adj_of(node.in1), 0, numel_of(node.in1) * sizeof(float));
     const float* dy = adj_of(node.out);
     switch (node.kind) {
       case Node::Kind::kConvBlock: {
@@ -563,12 +616,16 @@ void InferenceSession::vjp(const SavedActivations& saved,
           const double* stats = saved.stats.data() + node.saved_stats;
           std::memset(d_pre, 0, numel * sizeof(float));
           be.group_norm_bwd(ng, saved.prenorm.data() + node.saved_prenorm,
-                            stats, stats + c.groups, c.gamma, dy, d_pre,
-                            nullptr, nullptr);
+                            stats, stats + c.groups, P + c.gamma, dy, d_pre,
+                            d_params ? d_params + c.gamma : nullptr,
+                            d_params ? d_params + c.beta : nullptr);
           dy = d_pre;
         }
-        be.conv2d_bwd(g, nullptr, c.weight, dy, adj_of(node.in0), nullptr,
-                      nullptr);
+        be.conv2d_bwd(
+            g, d_params ? saved.conv_input.data() + node.saved_input : nullptr,
+            P + c.weight, dy, adj_of(node.in0),
+            d_params ? d_params + c.weight : nullptr,
+            d_params ? d_params + c.bias : nullptr);
         break;
       }
       case Node::Kind::kMaxPool: {
@@ -584,11 +641,8 @@ void InferenceSession::vjp(const SavedActivations& saved,
                           adj_of(node.in0));
         break;
       case Node::Kind::kConcat: {
-        const ValueSpec& b_spec = values_[node.in1];
-        const std::size_t plane =
-            static_cast<std::size_t>(in_spec.height) * in_spec.width;
-        const std::size_t na = static_cast<std::size_t>(in_spec.channels) * plane;
-        const std::size_t nb = static_cast<std::size_t>(b_spec.channels) * plane;
+        const std::size_t na = numel_of(node.in0);
+        const std::size_t nb = numel_of(node.in1);
         float* da = adj_of(node.in0);
         for (std::size_t i = 0; i < na; ++i) da[i] += dy[i];
         float* db = adj_of(node.in1);

@@ -10,8 +10,6 @@
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "nn/backend/backend.hpp"
-#include "nn/ops.hpp"
-#include "nn/serialize.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/infer.hpp"
 
@@ -23,56 +21,8 @@ CmpSurrogate::CmpSurrogate(const SurrogateConfig& config, std::uint64_t seed)
     throw std::invalid_argument(
         "CmpSurrogate: UNet in_channels must match the feature planes");
   Rng rng(seed);
-  unet_ = std::make_shared<nn::UNet>(config.unet, rng);
-}
-
-nn::Tensor CmpSurrogate::incoming_from_height(
-    const nn::Tensor& height_ang) const {
-  // Attenuated, zero-mean copy in normalized units — the same chaining rule
-  // the simulator applies between layers.
-  const nn::Tensor centered = nn::sub(height_ang, nn::mean(height_ang));
-  return nn::mul_scalar(
-      centered,
-      static_cast<float>(config_.topo_transfer / config_.features.height_scale));
-}
-
-std::vector<nn::Tensor> CmpSurrogate::forward_heights(
-    const std::vector<StaticLayerFeatures>& layers,
-    const std::vector<nn::Tensor>& fills,
-    const std::vector<nn::Tensor>& incoming_override) const {
-  using nn::Tensor;
-  if (layers.empty() || layers.size() != fills.size())
-    throw std::invalid_argument("forward_heights: layer/fill mismatch");
-  if (!incoming_override.empty() && incoming_override.size() != layers.size())
-    throw std::invalid_argument("forward_heights: incoming override mismatch");
-  const int pr = layers[0].padded_rows, pc = layers[0].padded_cols;
-  const std::vector<int> plane{1, 1, pr, pc};
-  const auto& fc = config_.features;
-
-  std::vector<Tensor> heights;
-  heights.reserve(layers.size());
-  Tensor incoming = Tensor::zeros(plane);  // normalized units
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    if (!incoming_override.empty()) incoming = incoming_override[l];
-    const Tensor input =
-        assemble_layer_input(layers[l], fc, fills[l], incoming);
-    const Tensor h_norm = unet_->forward(input);
-    // Hard-center the prediction: every planarity objective (Eqs. 1-3) and
-    // the layer chaining are invariant to a layer's mean height, so the
-    // surrogate regresses *topography* (zero-mean profiles).  This removes
-    // the per-sample mean-level mode — the hardest-to-learn and least
-    // useful component — from the problem entirely.
-    const Tensor h_centered = nn::sub(h_norm, nn::mean(h_norm));
-    // Denormalize to Angstrom (offset kept for API symmetry; zero after
-    // calibration).
-    const Tensor h_ang = nn::add_scalar(
-        nn::mul_scalar(h_centered, static_cast<float>(fc.height_scale)),
-        static_cast<float>(fc.height_offset));
-    heights.push_back(h_ang);
-    if (l + 1 < layers.size() && incoming_override.empty())
-      incoming = incoming_from_height(h_ang);
-  }
-  return heights;
+  params_ = std::make_shared<nn::ParameterSet>(
+      nn::make_unet_parameters(config.unet, rng));
 }
 
 [[nodiscard]] Expected<void> save_surrogate(const CmpSurrogate& s,
@@ -99,7 +49,7 @@ std::vector<nn::Tensor> CmpSurrogate::forward_heights(
   if (!meta)
     return Error(ErrorCode::kIo, "surrogate.io",
                  "'" + meta_path + "': write failed");
-  return nn::save_parameters(s.unet(), path_prefix + ".weights");
+  return nn::save_parameters(s.parameters(), path_prefix + ".weights");
 }
 
 [[nodiscard]] Expected<std::shared_ptr<CmpSurrogate>> load_surrogate(
@@ -134,7 +84,7 @@ std::vector<nn::Tensor> CmpSurrogate::forward_heights(
                      std::to_string(FeatureConstants::kInChannels));
   auto s = std::make_shared<CmpSurrogate>(c, /*seed=*/0);
   Expected<void> weights =
-      nn::load_parameters(s->unet(), path_prefix + ".weights");
+      nn::load_parameters(s->parameters(), path_prefix + ".weights");
   if (!weights.ok()) return weights.error();
   return s;
 }
@@ -177,7 +127,7 @@ void fill_to_plane(const GridD& x, std::size_t rows, std::size_t cols, int pc,
           static_cast<float>(x(i, j));
 }
 
-/// Crops a padded flat plane back to rows x cols (crop_to_grid on floats).
+/// Crops a padded flat plane back to rows x cols.
 GridD crop_plane(const float* plane, std::size_t rows, std::size_t cols,
                  int pc) {
   GridD g(rows, cols);

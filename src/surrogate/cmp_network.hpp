@@ -7,7 +7,7 @@
 #include "common/error.hpp"
 #include "fill/score_coeffs.hpp"
 #include "layout/window_grid.hpp"
-#include "nn/unet.hpp"
+#include "nn/parameters.hpp"
 #include "surrogate/features.hpp"
 
 namespace neurfill {
@@ -34,41 +34,32 @@ struct SurrogateConfig {
   }
 };
 
-/// The trained CMP surrogate: a UNet plus its feature/normalization
-/// constants.  This is what pre-training produces and what checkpoints
-/// store.
+/// The trained CMP surrogate: the UNet's weights plus its
+/// feature/normalization constants.  This is what pre-training produces and
+/// what checkpoints store.  The network itself runs through
+/// SurrogateInference (surrogate/infer.hpp): the extraction layer, the
+/// compiled UNet, the hard-centering to topography and the layer chaining.
 class CmpSurrogate {
  public:
+  /// Initializes the weights from `seed` (nn::make_unet_parameters).
   CmpSurrogate(const SurrogateConfig& config, std::uint64_t seed);
 
-  nn::UNet& unet() { return *unet_; }
-  const nn::UNet& unet() const { return *unet_; }
   const SurrogateConfig& config() const { return config_; }
   SurrogateConfig& mutable_config() { return config_; }
 
-  /// Forward pass from padded feature planes: returns per-layer height
-  /// tensors in Angstrom, [1,1,pr,pc], chained through the incoming
-  /// topography exactly like the simulator's layer loop.  `fills` are the
-  /// padded fill tensors (may require grad).
-  ///
-  /// `incoming_override`, when non-empty, supplies the normalized incoming
-  /// topography plane per layer instead of chaining the network's own
-  /// predictions (teacher forcing during pre-training: the simulator labels
-  /// provide the true lower-layer topography, so early-training noise in
-  /// layer l does not corrupt the regression target of layer l+1).
-  std::vector<nn::Tensor> forward_heights(
-      const std::vector<StaticLayerFeatures>& layers,
-      const std::vector<nn::Tensor>& fills,
-      const std::vector<nn::Tensor>& incoming_override = {}) const;
-
-  /// The normalized incoming plane layer l+1 would see given layer l's
-  /// height map (A); used both internally and to build teacher-forcing
-  /// planes from simulator labels.
-  nn::Tensor incoming_from_height(const nn::Tensor& height_ang) const;
+  /// The UNet's weights: one flat, ordered, named parameter set, the only
+  /// copy; compiled sessions read it in place.
+  nn::ParameterSet& parameters() { return *params_; }
+  const nn::ParameterSet& parameters() const { return *params_; }
+  /// Shared ownership of the weights, for sessions that outlive the
+  /// surrogate (the process-wide session cache).
+  std::shared_ptr<const nn::ParameterSet> shared_parameters() const {
+    return params_;
+  }
 
  private:
   SurrogateConfig config_;
-  std::shared_ptr<nn::UNet> unet_;
+  std::shared_ptr<nn::ParameterSet> params_;
 };
 
 /// Saves/loads the surrogate as <path>.meta (text config) + <path>.weights
@@ -86,11 +77,10 @@ class CmpSurrogate {
 /// (Eqs. 10a-c) -> merging layer (Eq. 5b).  evaluate() runs the forward pass
 /// for S_plan and, when requested, one backward propagation for
 /// grad(S_plan) (Eq. 11) — the paper's 8134x-speedup path.  Both run
-/// tape-free through the compiled SurrogateInference session; the values
-/// and gradients are bitwise identical to the autograd formulation of the
-/// same network (CmpSurrogate::forward_heights + nn ops), which stays the
-/// test oracle.  Const members are thread-safe: no evaluation writes
-/// shared state (in particular, no parameter gradient buffers).
+/// through the compiled SurrogateInference session; the values and
+/// gradients are bitwise identical to the autograd formulation of the same
+/// network, which stays the test oracle (tests/tape_oracle.hpp).  Const
+/// members are thread-safe: no evaluation writes shared state.
 class CmpNetwork {
  public:
   CmpNetwork(std::shared_ptr<const CmpSurrogate> surrogate,

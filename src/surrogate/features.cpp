@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/ops.hpp"
 
 namespace neurfill {
 
@@ -23,20 +22,6 @@ std::vector<float> pad_replicate(const GridD& g, int pr, int pc) {
     }
   }
   return out;
-}
-
-GridD crop_to_grid(const nn::Tensor& t, int rows, int cols) {
-  if (t.ndim() != 4 || t.dim(0) != 1 || t.dim(1) != 1)
-    throw std::invalid_argument("crop_to_grid: need [1,1,H,W]");
-  if (t.dim(2) < rows || t.dim(3) < cols)
-    throw std::invalid_argument("crop_to_grid: tensor smaller than target");
-  GridD g(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  const int pc = t.dim(3);
-  for (int i = 0; i < rows; ++i)
-    for (int j = 0; j < cols; ++j)
-      g(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-          t.data()[i * pc + j];
-  return g;
 }
 
 std::vector<StaticLayerFeatures> build_static_features(
@@ -72,51 +57,6 @@ std::vector<StaticLayerFeatures> build_static_features(
     out.push_back(std::move(f));
   }
   return out;
-}
-
-nn::Tensor assemble_layer_input(const StaticLayerFeatures& layer,
-                                const FeatureConstants& consts,
-                                const nn::Tensor& fill,
-                                const nn::Tensor& incoming) {
-  using nn::Tensor;
-  const int pr = layer.padded_rows, pc = layer.padded_cols;
-  const std::vector<int> plane_shape{1, 1, pr, pc};
-  if (fill.shape() != plane_shape || incoming.shape() != plane_shape)
-    throw std::invalid_argument("assemble_layer_input: plane shape mismatch");
-
-  const Tensor rho = Tensor::from_data(plane_shape, layer.wire_density);
-  const Tensor perim0 = Tensor::from_data(plane_shape, layer.perimeter);
-  const Tensor wnum0 = Tensor::from_data(plane_shape, layer.width_blend_num);
-  const Tensor slack = Tensor::from_data(plane_shape, layer.slack);
-
-  // DSH-model pattern update w.r.t. fill x (all differentiable):
-  //   density' = rho + x
-  const Tensor density = nn::add(rho, fill);
-  //   perimeter' = perimeter + x * (4 * wa / edge) / norm  (square tiles of
-  //   area x*wa contribute 4*sqrt(area_tile)*count = 4*x*wa/edge)
-  const double wa = consts.window_um * consts.window_um;
-  const float dperim = static_cast<float>(
-      4.0 * wa / consts.dummy_edge_um / consts.perimeter_norm);
-  const Tensor perim = nn::add(perim0, nn::mul_scalar(fill, dperim));
-  //   width' = (rho*w/(w+ref) + x*e/(e+ref)) / (rho + x + eps): the mean
-  //   width blends the dummies' tile width into the pattern.
-  const float wdum = static_cast<float>(
-      consts.dummy_edge_um / (consts.dummy_edge_um + consts.width_ref_um));
-  const Tensor width =
-      nn::div(nn::add(wnum0, nn::mul_scalar(fill, wdum)),
-              nn::add_scalar(density, 1e-3f));
-
-  // Global mean density, broadcast to a full plane (differentiable in x).
-  const Tensor global_mean = nn::mean(density);
-  const Tensor global_plane = nn::mul(Tensor::ones(plane_shape), global_mean);
-
-  Tensor input = nn::concat_channels(density, perim);
-  input = nn::concat_channels(input, width);
-  input = nn::concat_channels(input, incoming);
-  input = nn::concat_channels(input, slack);
-  input = nn::concat_channels(input, global_plane);
-  input = nn::concat_channels(input, Tensor::ones(plane_shape));
-  return input;
 }
 
 }  // namespace neurfill

@@ -4,13 +4,13 @@
 
 #include "common/grid2d.hpp"
 #include "layout/window_grid.hpp"
-#include "nn/tensor.hpp"
 
 namespace neurfill {
 
 /// Static (fill-independent) per-layer feature planes plus the constants of
-/// the differentiable extraction layer (Fig. 4's first stage).  The CMP
-/// neural network input L has kInChannels channels per layer:
+/// the differentiable extraction layer (Fig. 4's first stage, evaluated by
+/// SurrogateInference).  The CMP neural network input L has kInChannels
+/// channels per layer:
 ///   0: total pattern density (wire + dummy + fill)        [fill-dependent]
 ///   1: normalized perimeter density                       [fill-dependent]
 ///   2: normalized mean feature width                      [fill-dependent]
@@ -48,21 +48,7 @@ struct StaticLayerFeatures {
 std::vector<StaticLayerFeatures> build_static_features(
     const WindowExtraction& ext, const FeatureConstants& consts, int divisor);
 
-/// Assembles the network input tensor [1, kInChannels, pr, pc] for one
-/// layer.  `fill` is the (padded) fill-fraction tensor with gradient
-/// tracking; `incoming` is the normalized incoming-topography tensor (may be
-/// a constant zeros tensor for the bottom layer).  All arithmetic runs
-/// through nn ops so d(input)/d(fill) flows by backward propagation — this
-/// *is* the extraction layer of Fig. 4.
-nn::Tensor assemble_layer_input(const StaticLayerFeatures& layer,
-                                const FeatureConstants& consts,
-                                const nn::Tensor& fill,
-                                const nn::Tensor& incoming);
-
 /// Pads a grid to (pr, pc) with edge replication and returns the flat data.
 std::vector<float> pad_replicate(const GridD& g, int pr, int pc);
-
-/// Crops a padded [1,1,pr,pc] tensor's data back to rows x cols.
-GridD crop_to_grid(const nn::Tensor& t, int rows, int cols);
 
 }  // namespace neurfill

@@ -20,7 +20,7 @@ namespace neurfill {
 namespace {
 
 /// Extraction-layer constants derived once per call; float-cast exactly as
-/// assemble_layer_input does.
+/// the autograd reference (tests/tape_oracle.hpp) casts them.
 struct ExtractConsts {
   float inv_n;
   float dperim;
@@ -46,9 +46,9 @@ ExtractConsts make_consts(const FeatureConstants& fc, double topo_transfer,
   return c;
 }
 
-/// Extraction layer (assemble_layer_input) for ONE candidate layer: fills
-/// the 7 feature planes of `input` from the static features, the candidate
-/// fill, and the chained incoming plane.  Chained elementwise steps go
+/// Extraction layer for ONE candidate layer: fills the 7 feature planes of
+/// `input` from the static features, the candidate fill, and the chained
+/// incoming plane.  Chained elementwise steps go
 /// through the backend maps with materialized intermediates — the same
 /// kernels, in the same order, as the autograd ops, so each plane is
 /// rounded identically (no re-association or fused-multiply-add
@@ -94,10 +94,22 @@ void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
   for (std::size_t i = 0; i < n; ++i) pressure[i] = 1.0f;
 }
 
-/// Hard-center and denormalize one candidate's network output to Angstrom
-/// (forward_heights' arithmetic), then — when `incoming` is non-null —
-/// write the next layer's chained incoming plane:
+/// The next layer's incoming plane from a layer's heights (Angstrom), the
+/// simulator's chaining rule in normalized units:
 /// incoming_{l+1} = (h_ang - mean(h_ang)) * topo_transfer/scale.
+void chain_incoming(nn::Backend& be, const float* h_ang, float* incoming,
+                    std::size_t n, const ExtractConsts& c) {
+  const std::int64_t n64 = static_cast<std::int64_t>(n);
+  const float mean_ang = static_cast<float>(be.reduce_sum(h_ang, n64)) * c.inv_n;
+  for (std::size_t i = 0; i < n; ++i) incoming[i] = h_ang[i] - mean_ang;
+  be.unary_map(nn::UnaryKind::kMulScalar, c.chain_k, incoming, incoming, n64);
+}
+
+/// Hard-center and denormalize one candidate's network output to Angstrom,
+/// then — when `incoming` is non-null — chain the next layer's incoming
+/// plane from it.  Hard-centering makes the surrogate regress topography:
+/// every planarity objective (Eqs. 1-3) and the chaining are invariant to
+/// a layer's mean height.
 void postprocess_heights(nn::Backend& be, const float* h_norm, float* h_ang,
                          float* incoming, std::size_t n,
                          const ExtractConsts& c) {
@@ -106,26 +118,24 @@ void postprocess_heights(nn::Backend& be, const float* h_norm, float* h_ang,
   for (std::size_t i = 0; i < n; ++i) h_ang[i] = h_norm[i] - mean_h;
   be.unary_map(nn::UnaryKind::kMulScalar, c.height_scale, h_ang, h_ang, n64);
   be.unary_map(nn::UnaryKind::kAddScalar, c.height_offset, h_ang, h_ang, n64);
-  if (incoming != nullptr) {
-    const float mean_ang =
-        static_cast<float>(be.reduce_sum(h_ang, n64)) * c.inv_n;
-    for (std::size_t i = 0; i < n; ++i) incoming[i] = h_ang[i] - mean_ang;
-    be.unary_map(nn::UnaryKind::kMulScalar, c.chain_k, incoming, incoming,
-                 n64);
-  }
+  if (incoming != nullptr) chain_incoming(be, h_ang, incoming, n, c);
 }
 
 }  // namespace
 
+nn::InferenceOptions SurrogateInference::fill_options(int max_batch) {
+  return nn::InferenceOptions{/*reuse_buffers=*/true, /*fuse=*/true,
+                              /*prepack_weights=*/true,
+                              /*max_batch=*/max_batch};
+}
+
 SurrogateInference::SurrogateInference(const CmpSurrogate& surrogate,
                                        int padded_rows, int padded_cols,
-                                       int max_batch)
+                                       nn::InferenceOptions options)
     : features_(surrogate.config().features),
       topo_transfer_(surrogate.config().topo_transfer),
-      session_(surrogate.unet(), padded_rows, padded_cols,
-               nn::InferenceOptions{/*reuse_buffers=*/true, /*fuse=*/true,
-                                    /*prepack_weights=*/true,
-                                    /*max_batch=*/max_batch}),
+      session_(surrogate.config().unet, surrogate.shared_parameters(),
+               padded_rows, padded_cols, options),
       rows_(padded_rows),
       cols_(padded_cols) {
   if (surrogate.config().unet.in_channels != FeatureConstants::kInChannels)
@@ -136,9 +146,14 @@ SurrogateInference::SurrogateInference(const CmpSurrogate& surrogate,
 void SurrogateInference::predict_heights(
     const std::vector<StaticLayerFeatures>& layers,
     const std::vector<const float*>& fills,
-    std::vector<std::vector<float>>& heights, SurrogateRecord* record) const {
+    std::vector<std::vector<float>>& heights, SurrogateRecord* record,
+    const std::vector<const float*>* labels) const {
   if (layers.empty() || layers.size() != fills.size())
     throw std::invalid_argument("predict_heights: layer/fill mismatch");
+  if (labels != nullptr &&
+      (record == nullptr || labels->size() != layers.size()))
+    throw std::invalid_argument(
+        "predict_heights: teacher forcing needs a record and a label per layer");
   const std::size_t n =
       static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
   const ExtractConsts c = make_consts(features_, topo_transfer_, n);
@@ -171,23 +186,28 @@ void SurrogateInference::predict_heights(
                           record ? width_terms + 2 * n * l : nullptr);
 
     if (record != nullptr)
-      session_.run_saving(input, h_norm, record->layers[l]);
+      session_.run_saving(input, h_norm, record->layers[l],
+                          /*training=*/labels != nullptr);
     else
       session_.run(input, h_norm, /*batch=*/1);
 
     std::vector<float>& h_ang = heights[l];
     h_ang.resize(n);
+    const bool chain = l + 1 < layers.size();
     postprocess_heights(be, h_norm, h_ang.data(),
-                        l + 1 < layers.size() ? incoming : nullptr, n, c);
+                        chain && labels == nullptr ? incoming : nullptr, n, c);
+    if (chain && labels != nullptr)
+      chain_incoming(be, (*labels)[l], incoming, n, c);
   }
 }
 
 void SurrogateInference::layer_vjp(std::size_t l,
                                    const SurrogateRecord& record,
                                    const float* d_height, float* d_fill,
-                                   float* d_prev_height) const {
+                                   float* d_prev_height,
+                                   float* d_params) const {
   NF_CHECK(l < record.layers.size(), "layer_vjp: layer %zu not recorded", l);
-  NF_CHECK(l == 0 || d_prev_height != nullptr,
+  NF_CHECK(d_fill == nullptr || l == 0 || d_prev_height != nullptr,
            "layer_vjp: layer %zu needs the layer below's height adjoint", l);
   const std::size_t n =
       static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
@@ -213,7 +233,9 @@ void SurrogateInference::layer_vjp(std::size_t l,
   const float d_norm_sum = 0.0f + d_mean * c.inv_n;
   for (std::size_t i = 0; i < n; ++i) d_norm[i] += d_norm_sum;
 
-  session_.vjp(record.layers[l], d_norm, d_input);
+  session_.vjp(record.layers[l], d_norm, d_fill ? d_input : nullptr,
+               d_params);
+  if (d_fill == nullptr) return;
 
   // Extraction layer.  The channel planes' adjoints arrive through the
   // concat chain (each a zero-seeded copy); consumers run global-mean
@@ -360,10 +382,12 @@ std::vector<std::uint64_t> make_cache_key(const CmpSurrogate& surrogate,
                                           int max_batch) {
   const SurrogateConfig& cfg = surrogate.config();
   std::uint64_t wh = 1469598103934665603ull;  // FNV offset basis
-  for (const nn::Tensor& p : surrogate.unet().parameters()) {
-    const std::int64_t numel = p.numel();
+  const nn::ParameterSet& params = surrogate.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::int64_t numel = static_cast<std::int64_t>(params.spec(i).numel);
     wh = fnv1a(&numel, sizeof(numel), wh);
-    wh = fnv1a(p.data(), static_cast<std::size_t>(numel) * sizeof(float), wh);
+    wh = fnv1a(params.data(i), static_cast<std::size_t>(numel) * sizeof(float),
+               wh);
   }
   return {
       wh,
@@ -418,7 +442,8 @@ std::shared_ptr<const SurrogateInference> acquire_surrogate_inference(
   // the loser's session just serves its own caller — identical bytes either
   // way, since compilation is a pure function of the key.
   auto session = std::make_shared<const SurrogateInference>(
-      surrogate, padded_rows, padded_cols, max_batch);
+      surrogate, padded_rows, padded_cols,
+      SurrogateInference::fill_options(max_batch));
   NF_COUNTER_ADD("surrogate.session_cache_misses", 1);
   std::lock_guard<std::mutex> lock(cache.mu);
   auto [it, inserted] = cache.entries.emplace(std::move(key), std::move(session));

@@ -19,17 +19,19 @@ struct SurrogateRecord {
   AlignedBuffer<float> width_terms;  ///< [layer][numerator|denominator][n]
 };
 
-/// Tape-free surrogate evaluation: CmpSurrogate::forward_heights without
-/// the autograd tensors.  The extraction-layer arithmetic (density /
-/// perimeter / width / global-mean planes) runs as backend elementwise
-/// kernels over flat planes, and the UNet runs through a graph-compiled
-/// nn::InferenceSession, so a forward pass allocates nothing in steady
-/// state and returns heights bitwise identical to the autograd path
-/// (pinned by tests/test_inference.cpp — every float operation replicates
-/// the op-by-op rounding of assemble_layer_input / forward_heights).
+/// The surrogate network of Fig. 4 over flat planes: the extraction-layer
+/// arithmetic (density / perimeter / width / global-mean planes) runs as
+/// backend elementwise kernels, the UNet runs through a graph-compiled
+/// nn::InferenceSession, and the height post-processing and layer chaining
+/// follow.  A forward pass allocates nothing in steady state, and every
+/// float operation replicates the op-by-op rounding of the autograd
+/// reference (tests/tape_oracle.hpp), so heights and adjoints are bitwise
+/// identical to it (pinned by tests/test_inference.cpp and
+/// tests/test_surrogate.cpp).
 ///
 /// One instance is bound to one padded plane size; CmpNetwork builds one
-/// per extraction, tools build one per chip (or per tile).
+/// per extraction, tools build one per chip (or per tile), the trainer one
+/// per training plane size.
 class SurrogateInference {
  public:
   /// Largest candidate batch the compiled session plans its arena for up
@@ -37,12 +39,18 @@ class SurrogateInference {
   /// then grows once).  Sized for one NMMSO move batch.
   static constexpr int kDefaultMaxBatch = 32;
 
+  /// The options a fill compiles with: fused blocks, a reused arena planned
+  /// for `max_batch` candidates, and weights pre-packed at compile time.
+  static nn::InferenceOptions fill_options(int max_batch = kDefaultMaxBatch);
+
   /// Compiles the surrogate's UNet for padded_rows x padded_cols planes
   /// (must be divisible by 2^depth).  Holds shared ownership of the
-  /// parameter storage; weights are snapshotted at compile time (packed
-  /// panels) — rebuild after weight updates.
+  /// parameter set.  With prepacked weights (the fill options) the weights
+  /// are snapshotted at compile time — rebuild after weight updates;
+  /// without, every pass reads them in place (the trainer's session).
   SurrogateInference(const CmpSurrogate& surrogate, int padded_rows,
-                     int padded_cols, int max_batch = kDefaultMaxBatch);
+                     int padded_cols,
+                     nn::InferenceOptions options = fill_options());
 
   int padded_rows() const { return rows_; }
   int padded_cols() const { return cols_; }
@@ -50,13 +58,19 @@ class SurrogateInference {
   /// Per-layer post-CMP heights in Angstrom, chained through the incoming
   /// topography like the simulator's layer loop.  `fills[l]` is the padded
   /// fill plane (padded_rows x padded_cols, row-major); `heights` is
-  /// resized to one plane per layer.  Equivalent to forward_heights with
-  /// no incoming override.  With a `record`, the pass also keeps what
-  /// layer_vjp() needs (same heights).
+  /// resized to one plane per layer.  With a `record`, the pass also keeps
+  /// what layer_vjp() needs (same heights).  With `labels` (teacher
+  /// forcing, for pre-training), layer l's incoming topography is chained
+  /// from labels[l - 1] — the simulator's height plane of the layer below,
+  /// padded, in Angstrom — instead of the network's own prediction, so
+  /// early-training noise in one layer does not corrupt the next layer's
+  /// input; the record is then a training record, which layer_vjp() can
+  /// take parameter adjoints from.
   void predict_heights(const std::vector<StaticLayerFeatures>& layers,
                        const std::vector<const float*>& fills,
                        std::vector<std::vector<float>>& heights,
-                       SurrogateRecord* record = nullptr) const;
+                       SurrogateRecord* record = nullptr,
+                       const std::vector<const float*>* labels = nullptr) const;
 
   /// Adjoint of layer `l` of a recorded predict_heights pass, for layers
   /// walked top first.  `d_height` is the layer's complete height adjoint
@@ -65,11 +79,15 @@ class SurrogateInference {
   /// fill adjoint to `d_fill` (padded plane, overwritten) and, for l > 0,
   /// accumulates the chaining adjoint into `d_prev_height` (layer l-1's
   /// height adjoint, which the caller completes before its own call).
-  /// Every step accumulates in the autograd tape's order, so the fill
-  /// gradient is bitwise identical to the tape's.  Thread-safe.
+  /// With `d_params` (a training record), the layer's parameter adjoints
+  /// are accumulated into it, laid out like the surrogate's parameter set;
+  /// a null `d_fill` skips the input adjoints (the fill and chaining ones),
+  /// which a teacher-forced pass has no use for.  Every step accumulates in
+  /// the autograd tape's order, so the fill gradient and the parameter
+  /// adjoints are bitwise identical to the tape's.  Thread-safe.
   void layer_vjp(std::size_t l, const SurrogateRecord& record,
-                 const float* d_height,
-                 float* d_fill, float* d_prev_height) const;
+                 const float* d_height, float* d_fill, float* d_prev_height,
+                 float* d_params = nullptr) const;
 
   /// Batched predict_heights over B candidate fill solutions that share the
   /// static layer features: `fills[b][l]` is candidate b's padded fill

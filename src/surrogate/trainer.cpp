@@ -2,82 +2,141 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/checkpoint.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "nn/ops.hpp"
-#include "nn/optim.hpp"
-#include "nn/serialize.hpp"
+#include "nn/backend/backend.hpp"
 #include "obs/trace.hpp"
+#include "surrogate/infer.hpp"
 
 namespace neurfill {
 
 namespace {
 
-/// Builds the padded fill tensors of a sample (no gradient tracking).
-std::vector<nn::Tensor> sample_fill_tensors(
-    const std::vector<StaticLayerFeatures>& feats,
-    const std::vector<GridD>& fill) {
-  std::vector<nn::Tensor> out;
-  out.reserve(fill.size());
-  for (std::size_t l = 0; l < fill.size(); ++l) {
-    const int pr = feats[l].padded_rows, pc = feats[l].padded_cols;
-    std::vector<float> data(static_cast<std::size_t>(pr) * pc, 0.0f);
-    for (std::size_t i = 0; i < fill[l].rows(); ++i)
-      for (std::size_t j = 0; j < fill[l].cols(); ++j)
-        data[i * static_cast<std::size_t>(pc) + j] =
-            static_cast<float>(fill[l](i, j));
-    out.push_back(nn::Tensor::from_data({1, 1, pr, pc}, std::move(data)));
-  }
-  return out;
-}
+/// One sample's padded planes: the fills, the simulator's heights (the
+/// teacher-forcing labels) and the regression targets.
+struct SamplePlanes {
+  std::vector<StaticLayerFeatures> feats;
+  std::vector<std::vector<float>> fills, labels, targets;
+};
 
-/// Normalized-MSE loss tensor of one sample against simulator labels, with
-/// teacher forcing: each layer's incoming topography comes from the
-/// *simulator's* lower-layer height labels, so early-training noise in one
-/// layer's prediction does not corrupt the next layer's regression target.
-nn::Tensor sample_loss_tensor(const CmpSurrogate& surrogate,
-                              const TrainingSample& sample) {
+SamplePlanes sample_planes(const CmpSurrogate& surrogate,
+                           const TrainingSample& sample) {
   const auto& fc = surrogate.config().features;
-  const int divisor = 1 << surrogate.config().unet.depth;
-  const auto feats = build_static_features(sample.ext, fc, divisor);
-  const auto fills = sample_fill_tensors(feats, sample.fill);
-  std::vector<nn::Tensor> incoming;
-  incoming.reserve(feats.size());
-  for (std::size_t l = 0; l < feats.size(); ++l) {
-    const int pr = feats[l].padded_rows, pc = feats[l].padded_cols;
-    if (l == 0) {
-      incoming.push_back(nn::Tensor::zeros({1, 1, pr, pc}));
-    } else {
-      const nn::Tensor label = nn::Tensor::from_data(
-          {1, 1, pr, pc}, pad_replicate(sample.heights[l - 1], pr, pc));
-      incoming.push_back(surrogate.incoming_from_height(label));
-    }
-  }
-  const auto heights = surrogate.forward_heights(feats, fills, incoming);
-
+  SamplePlanes p;
+  p.feats = build_static_features(sample.ext, fc,
+                                  1 << surrogate.config().unet.depth);
   const float inv_scale = 1.0f / static_cast<float>(fc.height_scale);
-  nn::Tensor loss = nn::Tensor::scalar(0.0f);
-  for (std::size_t l = 0; l < heights.size(); ++l) {
-    const int pr = feats[l].padded_rows, pc = feats[l].padded_cols;
+  const std::size_t L = p.feats.size();
+  p.fills.resize(L);
+  p.labels.resize(L);
+  p.targets.resize(L);
+  for (std::size_t l = 0; l < L; ++l) {
+    const int pr = p.feats[l].padded_rows, pc = p.feats[l].padded_cols;
+    p.fills[l].assign(static_cast<std::size_t>(pr) * pc, 0.0f);
+    for (std::size_t i = 0; i < sample.fill[l].rows(); ++i)
+      for (std::size_t j = 0; j < sample.fill[l].cols(); ++j)
+        p.fills[l][i * static_cast<std::size_t>(pc) + j] =
+            static_cast<float>(sample.fill[l](i, j));
+    p.labels[l] = pad_replicate(sample.heights[l], pr, pc);
     // Targets: *centered* simulator heights (the surrogate regresses
-    // topography; see CmpSurrogate::forward_heights), replicated into the
-    // padding so the border pixels see a consistent regression target.
+    // topography), replicated into the padding so the border pixels see a
+    // consistent regression target, in normalized units.
     double mean_h = 0.0;
     for (const double v : sample.heights[l]) mean_h += v;
     mean_h /= static_cast<double>(sample.heights[l].size());
     GridD centered = sample.heights[l];
     for (auto& v : centered) v -= mean_h;
-    std::vector<float> target = pad_replicate(centered, pr, pc);
-    for (auto& v : target) v *= inv_scale;
-    const nn::Tensor t = nn::Tensor::from_data({1, 1, pr, pc}, std::move(target));
-    const nn::Tensor pred_norm = nn::mul_scalar(heights[l], inv_scale);
-    loss = nn::add(loss, nn::mse_loss(pred_norm, t));
+    p.targets[l] = pad_replicate(centered, pr, pc);
+    for (auto& v : p.targets[l]) v *= inv_scale;
   }
-  return loss;
+  return p;
 }
+
+/// One training step's worth of network work on a sample: the
+/// teacher-forced pass (each layer's incoming topography comes from the
+/// *simulator's* lower-layer heights, so early-training noise in one
+/// layer's prediction does not corrupt the next layer's input), the
+/// normalized-MSE loss summed over layers, and — top layer first, as the
+/// autograd tape orders them — each layer's parameter adjoints, accumulated
+/// into `d_params`.  Every float operation is the tape's, so the loss and
+/// the adjoints are bitwise the reference trainer's
+/// (tests/tape_oracle.hpp).  Returns the loss.
+double train_sample(const SurrogateInference& infer, const SamplePlanes& p,
+                    float height_scale, SurrogateRecord& record,
+                    float* d_params) {
+  const std::size_t L = p.feats.size();
+  const std::size_t n = p.fills[0].size();
+  const std::int64_t n64 = static_cast<std::int64_t>(n);
+  std::vector<const float*> fill_ptrs, label_ptrs;
+  for (std::size_t l = 0; l < L; ++l) {
+    fill_ptrs.push_back(p.fills[l].data());
+    label_ptrs.push_back(p.labels[l].data());
+  }
+  std::vector<std::vector<float>> heights;
+  infer.predict_heights(p.feats, fill_ptrs, heights, &record, &label_ptrs);
+
+  // loss = sum_l mean(((h_l / scale) - target_l)^2), then its adjoint:
+  // d mean = 1 per layer, d sum = 1/n, d square = 2 (pred - target), and
+  // the 1/scale of the normalization, each a zero-seeded accumulation.
+  nn::Backend& be = nn::backend();
+  const float inv_scale = 1.0f / height_scale;
+  const float inv_n = 1.0f / static_cast<float>(n64);
+  std::vector<float> diff(n), sq(n), d_heights(L * n);
+  float loss = 0.0f;
+  for (std::size_t l = 0; l < L; ++l) {
+    be.unary_map(nn::UnaryKind::kMulScalar, inv_scale, heights[l].data(),
+                 diff.data(), n64);
+    be.binary_map(nn::BinaryKind::kSub, diff.data(), p.targets[l].data(),
+                  diff.data(), n64);
+    be.unary_map(nn::UnaryKind::kSquare, 0.0f, diff.data(), sq.data(), n64);
+    loss = loss + static_cast<float>(be.reduce_sum(sq.data(), n64)) * inv_n;
+    float* d_h = d_heights.data() + l * n;
+    const float d_sum = 0.0f + 1.0f * inv_n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float d_sq = 0.0f + d_sum;
+      const float d_diff = 0.0f + d_sq * (2.0f * diff[i]);
+      const float d_pred = 0.0f + d_diff * 1.0f;
+      d_h[i] = 0.0f + d_pred * inv_scale;
+    }
+  }
+  for (std::size_t l = L; l-- > 0;)
+    infer.layer_vjp(l, record, d_heights.data() + l * n, nullptr, nullptr,
+                    d_params);
+  return static_cast<double>(loss);
+}
+
+/// Adam [Kingma & Ba 2015] with bias correction on the flat parameter
+/// buffer; the moments are laid out like the parameter set.
+struct Adam {
+  static constexpr float kBeta1 = 0.9f;
+  static constexpr float kBeta2 = 0.999f;
+  static constexpr float kEps = 1e-8f;
+
+  std::int64_t t = 0;
+  std::vector<float> m, v;
+
+  explicit Adam(std::size_t n) : m(n, 0.0f), v(n, 0.0f) {}
+
+  void step(float* params, const float* d_params, float lr) {
+    ++t;
+    const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t));
+    for (std::size_t k = 0; k < m.size(); ++k) {
+      const float g = d_params[k];
+      m[k] = kBeta1 * m[k] + (1.0f - kBeta1) * g;
+      v[k] = kBeta2 * v[k] + (1.0f - kBeta2) * g * g;
+      const double mhat = static_cast<double>(m[k]) / bc1;
+      const double vhat = static_cast<double>(v[k]) / bc2;
+      params[k] -= static_cast<float>(
+          static_cast<double>(lr) * mhat /
+          (std::sqrt(vhat) + static_cast<double>(kEps)));
+    }
+  }
+};
 
 constexpr std::uint32_t kTrainStateVersion = 1;
 
@@ -87,7 +146,8 @@ constexpr std::uint32_t kTrainStateVersion = 1;
 /// are logged and swallowed — a missed checkpoint must not kill training.
 void save_train_state(const std::string& prefix, const TrainOptions& options,
                       const TrainStats& stats, int epochs_done,
-                      const nn::Adam& opt, const Rng& shuffle_rng,
+                      const nn::ParameterSet& params, const Adam& opt,
+                      const Rng& shuffle_rng,
                       const std::vector<std::size_t>& order,
                       const FeatureConstants& fc) {
   CheckpointWriter w;
@@ -103,12 +163,15 @@ void save_train_state(const std::string& prefix, const TrainOptions& options,
   ByteWriter el;
   el.f64_vec(stats.epoch_loss);
   w.add_section("epoch_loss", el.take());
+  // The moments persist one vector per parameter tensor, in set order.
   ByteWriter ad;
-  const nn::Adam::State st = opt.export_state();
-  ad.i64(st.t);
-  ad.u32(static_cast<std::uint32_t>(st.m.size()));
-  for (const auto& m : st.m) ad.f32_vec(m);
-  for (const auto& v : st.v) ad.f32_vec(v);
+  ad.i64(opt.t);
+  ad.u32(static_cast<std::uint32_t>(params.size()));
+  for (const std::vector<float>* moment : {&opt.m, &opt.v})
+    for (const nn::ParameterSpec& spec : params.specs()) {
+      const float* first = moment->data() + spec.offset;
+      ad.f32_vec(std::vector<float>(first, first + spec.numel));
+    }
   w.add_section("adam", ad.take());
   ByteWriter rw;
   const Rng::State rs = shuffle_rng.state();
@@ -135,7 +198,7 @@ void save_train_state(const std::string& prefix, const TrainOptions& options,
 /// a warning and a from-scratch run — resume is an optimization, never a
 /// correctness gate.
 int resume_train_state(const std::string& prefix, const TrainOptions& options,
-                       CmpSurrogate& surrogate, nn::Adam& opt,
+                       CmpSurrogate& surrogate, Adam& opt,
                        Rng& shuffle_rng, std::vector<std::size_t>& order,
                        TrainStats& stats) {
   const std::string path = prefix + ".train";
@@ -178,14 +241,20 @@ int resume_train_state(const std::string& prefix, const TrainOptions& options,
   }
   ByteReader el(**reader->section("epoch_loss"));
   std::vector<double> epoch_loss = el.f64_vec();
+  const nn::ParameterSet& params = surrogate.parameters();
   ByteReader ad(**reader->section("adam"));
-  nn::Adam::State st;
+  Adam st(params.numel());
   st.t = ad.i64();
-  const std::uint32_t n_params = ad.u32();
-  st.m.resize(n_params);
-  st.v.resize(n_params);
-  for (auto& m : st.m) m = ad.f32_vec();
-  for (auto& v : st.v) v = ad.f32_vec();
+  bool adam_valid = ad.u32() == params.size();
+  for (std::vector<float>* moment : {&st.m, &st.v})
+    for (const nn::ParameterSpec& spec : params.specs()) {
+      if (!adam_valid) break;
+      const std::vector<float> tensor = ad.f32_vec();
+      adam_valid = tensor.size() == spec.numel;
+      if (adam_valid)
+        std::copy(tensor.begin(), tensor.end(),
+                  moment->begin() + static_cast<std::ptrdiff_t>(spec.offset));
+    }
   ByteReader rw(**reader->section("rng"));
   Rng::State rs;
   for (int i = 0; i < 4; ++i) rs.s[i] = rw.u64();
@@ -210,20 +279,21 @@ int resume_train_state(const std::string& prefix, const TrainOptions& options,
              path.c_str());
     return 0;
   }
-  Expected<void> weights =
-      nn::load_parameters(surrogate.unet(), prefix + ".weights");
-  if (!weights.ok()) {
-    LOG_WARN("cannot restore surrogate weights for resume (%s), starting fresh",
-             weights.error().to_string().c_str());
-    return 0;
-  }
-  if (!opt.restore_state(st)) {
+  if (!adam_valid) {
     LOG_WARN(
         "training checkpoint '%s' optimizer state does not match the model, "
         "starting fresh",
         path.c_str());
     return 0;
   }
+  Expected<void> weights =
+      nn::load_parameters(surrogate.parameters(), prefix + ".weights");
+  if (!weights.ok()) {
+    LOG_WARN("cannot restore surrogate weights for resume (%s), starting fresh",
+             weights.error().to_string().c_str());
+    return 0;
+  }
+  opt = std::move(st);
   shuffle_rng.set_state(rs);
   order = std::move(saved_order);
   auto& fc = surrogate.mutable_config().features;
@@ -237,11 +307,6 @@ int resume_train_state(const std::string& prefix, const TrainOptions& options,
 }
 
 }  // namespace
-
-double surrogate_sample_loss(const CmpSurrogate& surrogate,
-                             const TrainingSample& sample) {
-  return sample_loss_tensor(surrogate, sample).item();
-}
 
 TrainStats train_surrogate(CmpSurrogate& surrogate,
                            TrainingDataGenerator& datagen,
@@ -281,7 +346,9 @@ TrainStats train_surrogate(CmpSurrogate& surrogate,
   std::vector<std::size_t> order(dataset.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  nn::Adam opt(surrogate.unet().parameters(), options.learning_rate);
+  nn::ParameterSet& params = surrogate.parameters();
+  Adam opt(params.numel());
+  std::vector<float> d_params(params.numel(), 0.0f);
 
   int start_epoch = 0;
   if (options.resume) {
@@ -299,15 +366,27 @@ TrainStats train_surrogate(CmpSurrogate& surrogate,
   }
   stats.start_epoch = start_epoch;
 
+  // The training session reads the weights in place (no prepacked panels),
+  // so every Adam step is visible to the next pass; it is compiled on the
+  // first sample, after calibration and resume have fixed the height
+  // normalization it bakes in.
+  nn::InferenceOptions session_options;
+  session_options.prepack_weights = false;
+  std::unique_ptr<SurrogateInference> infer;
+  SurrogateRecord record;
+  const auto adam_step = [&](float lr) {
+    opt.step(params.data(), d_params.data(), lr);
+    std::fill(d_params.begin(), d_params.end(), 0.0f);
+  };
+
   bool stopped = false;
   for (int epoch = start_epoch; epoch < options.epochs && !stopped; ++epoch) {
     obs::SpanTimer epoch_timer("train.epoch");
-    opt.set_learning_rate(options.learning_rate *
-                          std::pow(options.lr_decay, static_cast<float>(epoch)));
+    const float lr = options.learning_rate *
+                     std::pow(options.lr_decay, static_cast<float>(epoch));
     if (!dataset.empty()) shuffle_rng.shuffle(order);
     double epoch_loss = 0.0;
     int in_batch = 0;
-    opt.zero_grad();
     const int steps = dataset.empty() ? options.samples_per_epoch
                                       : static_cast<int>(dataset.size());
     for (int i = 0; i < steps; ++i) {
@@ -326,28 +405,29 @@ TrainStats train_surrogate(CmpSurrogate& surrogate,
           dataset.empty()
               ? datagen.generate(options.grid_rows, options.grid_cols)
               : dataset[order[static_cast<std::size_t>(i)]];
-      nn::Tensor loss = [&] {
+      {
         NF_TRACE_SPAN("train.sample");
-        nn::Tensor l = sample_loss_tensor(surrogate, sample);
-        l.backward();
-        return l;
-      }();
-      epoch_loss += static_cast<double>(loss.item());
+        const SamplePlanes planes = sample_planes(surrogate, sample);
+        const auto& fc = surrogate.config().features;
+        if (!infer)
+          infer = std::make_unique<SurrogateInference>(
+              surrogate, planes.feats[0].padded_rows,
+              planes.feats[0].padded_cols, session_options);
+        epoch_loss += train_sample(*infer, planes,
+                                   static_cast<float>(fc.height_scale), record,
+                                   d_params.data());
+      }
       ++stats.samples_seen;
       NF_COUNTER_ADD("train.samples", 1);
       if (++in_batch >= options.grad_accumulation) {
-        opt.step();
-        opt.zero_grad();
+        adam_step(lr);
         in_batch = 0;
       }
     }
     // A partially run epoch is discarded: the checkpoint pair on disk still
     // describes the last *completed* epoch, which is what resume replays.
     if (stopped) break;
-    if (in_batch > 0) {
-      opt.step();
-      opt.zero_grad();
-    }
+    if (in_batch > 0) adam_step(lr);
     epoch_loss /= static_cast<double>(std::max(steps, 1));
     stats.epoch_loss.push_back(epoch_loss);
     NF_COUNTER_ADD("train.epochs", 1);
@@ -362,7 +442,7 @@ TrainStats train_surrogate(CmpSurrogate& surrogate,
                  saved.error().to_string().c_str());
       } else {
         save_train_state(options.checkpoint_prefix, options, stats, epoch + 1,
-                         opt, shuffle_rng, order,
+                         params, opt, shuffle_rng, order,
                          surrogate.config().features);
       }
     }

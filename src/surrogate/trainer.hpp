@@ -57,13 +57,12 @@ struct TrainStats {
 /// between the network's height prediction and the simulator's label over
 /// two-step-random generated layouts.  Also calibrates the surrogate's
 /// height normalization (offset/scale) from a few samples before training.
+/// Each sample runs one teacher-forced pass and one reverse pass through
+/// the compiled session (SurrogateInference) and Adam updates the flat
+/// parameter set in place; samples run serially, and the weights are
+/// bitwise identical at any thread count.
 TrainStats train_surrogate(CmpSurrogate& surrogate,
                            TrainingDataGenerator& datagen,
                            const TrainOptions& options = TrainOptions());
-
-/// Per-sample loss (normalized MSE summed over layers) without updating
-/// weights; used for validation curves.
-double surrogate_sample_loss(const CmpSurrogate& surrogate,
-                             const TrainingSample& sample);
 
 }  // namespace neurfill

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/tensor.hpp"
+#include "tape/tensor.hpp"
 
 namespace neurfill::nn::testing {
 

@@ -1,6 +1,6 @@
 // Autograd tape API in the surrogate's tape-free layer (src/surrogate/
 // infer.*): flagged like src/nn/infer.  Its neighbours (cmp_network.cpp,
-// trainer.cpp) legitimately use the tape and are out of scope.
+// trainer.cpp) are out of the rule's scope.
 
 void layer_adjoint(FakeSurrogate& s, FakeTensor& fill) {
   auto h = s.unet().forward(fill);   // LINT[infer-no-autograd]

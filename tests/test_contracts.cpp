@@ -13,7 +13,7 @@
 #include "common/grid2d.hpp"
 #include "common/stats.hpp"
 #include "geom/rect.hpp"
-#include "nn/tensor.hpp"
+#include "tape/tensor.hpp"
 
 namespace {
 

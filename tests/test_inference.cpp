@@ -1,5 +1,5 @@
-// Tests for the tape-free inference engine (docs/inference.md): the
-// InferenceSession must match the autograd module evaluation bitwise —
+// Tests for the network engine (docs/inference.md): the InferenceSession
+// must match the autograd module evaluation (tests/tape) bitwise —
 // fused or unfused, arena-reused or private-buffered, batched or looped,
 // at any thread count — because the fill optimizer mixes both paths
 // mid-line-search and relies on exact value equality.
@@ -18,13 +18,13 @@
 #include "layout/window_grid.hpp"
 #include "nn/backend/backend.hpp"
 #include "nn/infer/session.hpp"
-#include "nn/ops.hpp"
-#include "nn/tensor.hpp"
-#include "nn/unet.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/infer.hpp"
+#include "tape/ops.hpp"
+#include "tape/tensor.hpp"
+#include "tape/unet.hpp"
 #include "tape_oracle.hpp"
 
 namespace neurfill {
@@ -74,6 +74,15 @@ struct PlaneShape {
 };
 constexpr PlaneShape kFillPlane{3, 24, 24};
 
+/// The session over a tape UNet's weights, copied into a flat set.
+InferenceSession compile(const UNet& net, int H, int W,
+                         InferenceOptions options = {}) {
+  return InferenceSession(
+      net.config(),
+      std::make_shared<const nn::ParameterSet>(nn::to_parameter_set(net)), H,
+      W, options);
+}
+
 /// Autograd reference: the plain module forward on a batch-1 input.
 std::vector<float> module_forward(UNet& net, const std::vector<float>& input,
                                   int c, int h, int w) {
@@ -86,7 +95,7 @@ TEST(InferenceSession, MatchesModuleBitwiseWithGroupNorm) {
   Rng rng(11);
   UNet net(small_config(true), rng);
   const int H = 16, W = 16;
-  const InferenceSession session(net, H, W);
+  const InferenceSession session = compile(net, H, W);
   EXPECT_EQ(session.in_channels(), 3);
   EXPECT_EQ(session.out_channels(), 1);
 
@@ -101,7 +110,7 @@ TEST(InferenceSession, MatchesModuleBitwiseWithoutGroupNorm) {
   Rng rng(12);
   UNet net(small_config(false), rng);
   const int H = 24, W = 16;
-  const InferenceSession session(net, H, W);
+  const InferenceSession session = compile(net, H, W);
 
   const auto input = random_input(3u * H * W, 102);
   const auto ref = module_forward(net, input, 3, H, W);
@@ -116,11 +125,11 @@ TEST(InferenceSession, RealWeightsMatchModuleWithinTolerance) {
   // matches bitwise, which the optimizer's mixed-path line search needs.
   auto loaded = load_surrogate(NF_REPO_ROOT "/data/unet_cmp");
   ASSERT_TRUE(loaded.ok()) << "missing data/unet_cmp.{meta,weights}";
-  UNet& net = (*loaded)->unet();
+  UNet net = oracle::tape_unet(**loaded);
   const UNetConfig& cfg = net.config();
   const int div = 1 << cfg.depth;
   const int H = 4 * div, W = 4 * div;
-  const InferenceSession session(net, H, W);
+  const InferenceSession session(cfg, (*loaded)->shared_parameters(), H, W);
 
   const auto input =
       random_input(static_cast<std::size_t>(cfg.in_channels) * H * W, 103);
@@ -146,8 +155,8 @@ TEST(InferenceSession, ArenaReuseMatchesPrivateBuffers) {
   const int H = 16, W = 16;
   InferenceOptions reuse, priv;
   priv.reuse_buffers = false;
-  const InferenceSession fast(net, H, W, reuse);
-  const InferenceSession safe(net, H, W, priv);
+  const InferenceSession fast = compile(net, H, W, reuse);
+  const InferenceSession safe = compile(net, H, W, priv);
   EXPECT_LT(fast.arena_floats_per_sample(), safe.arena_floats_per_sample());
 
   const auto input = random_input(3u * H * W, 104);
@@ -166,8 +175,8 @@ TEST(InferenceSession, FusedMatchesUnfused) {
     const int H = shape.height, W = shape.width;
     InferenceOptions unfused;
     unfused.fuse = false;
-    const InferenceSession fused(net, H, W);
-    const InferenceSession chain(net, H, W, unfused);
+    const InferenceSession fused = compile(net, H, W);
+    const InferenceSession chain = compile(net, H, W, unfused);
 
     const auto input = random_input(3u * H * W, 105);
     std::vector<float> a(static_cast<std::size_t>(H) * W), b(a.size());
@@ -187,7 +196,7 @@ TEST(InferenceSession, BatchMatchesLoopedSingles) {
     const int H = shape.height, W = shape.width;
     const std::size_t in_plane = 3u * H * W;
     const std::size_t out_plane = static_cast<std::size_t>(H) * W;
-    const InferenceSession session(net, H, W);
+    const InferenceSession session = compile(net, H, W);
 
     const auto input = random_input(B * in_plane, 106);
     std::vector<float> batched(B * out_plane);
@@ -214,8 +223,8 @@ TEST(InferenceSession, PrepackedWeightsMatchPackPerCall) {
     const std::size_t out_plane = static_cast<std::size_t>(H) * W;
     InferenceOptions nopack;
     nopack.prepack_weights = false;
-    const InferenceSession packed(net, H, W);
-    const InferenceSession reference(net, H, W, nopack);
+    const InferenceSession packed = compile(net, H, W);
+    const InferenceSession reference = compile(net, H, W, nopack);
 
     const auto input = random_input(B * in_plane, 120);
     std::vector<float> a(B * out_plane), b(a.size());
@@ -239,7 +248,7 @@ TEST(InferenceSession, BatchedArenaReachesZeroSteadyStateAllocation) {
   const int H = 16, W = 16, kMaxBatch = 8;
   InferenceOptions opt;
   opt.max_batch = kMaxBatch;
-  const InferenceSession session(net, H, W, opt);
+  const InferenceSession session = compile(net, H, W, opt);
   const std::size_t in_plane = 3u * H * W;
   const std::size_t out_plane = static_cast<std::size_t>(H) * W;
   const auto input = random_input(kMaxBatch * in_plane, 121);
@@ -262,7 +271,7 @@ TEST(InferenceSession, BitwiseDeterministicAcrossThreadCounts) {
   Rng rng(16);
   UNet net(small_config(true), rng);
   const int H = 32, W = 32;
-  const InferenceSession session(net, H, W);
+  const InferenceSession session = compile(net, H, W);
   const auto input = random_input(3u * H * W, 107);
 
   std::vector<float> ref(static_cast<std::size_t>(H) * W);
@@ -418,7 +427,7 @@ TEST(InferenceSession, VjpMatchesTapeInputGradientBitwise) {
       cfg.depth = shape.depth;
       UNet net(cfg, rng);
       const int H = shape.height, W = shape.width;
-      const InferenceSession session(net, H, W);
+      const InferenceSession session = compile(net, H, W);
       const std::size_t in_n =
           static_cast<std::size_t>(cfg.in_channels) * H * W;
       const auto input = random_input(in_n, 7);
@@ -446,6 +455,85 @@ TEST(InferenceSession, VjpMatchesTapeInputGradientBitwise) {
   }
 }
 
+TEST(InferenceSession, VjpParameterAdjointsMatchTapeBitwise) {
+  // Pre-training's reverse pass: a training record and vjp() with a flat
+  // parameter-adjoint buffer against the tape's parameter grads, with and
+  // without group norm, at 1 and 4 threads.  Two passes accumulate into
+  // the same buffers, as two samples of one optimizer step do; the input
+  // is data (no input adjoint), as in training.
+  for (const PlaneShape shape : {PlaneShape{2, 12, 8}, kFillPlane}) {
+    for (const bool gn : {true, false}) {
+      Rng rng(gn ? 51 : 52);
+      UNetConfig cfg = small_config(gn);
+      cfg.depth = shape.depth;
+      UNet net(cfg, rng);
+      const int H = shape.height, W = shape.width;
+      const InferenceSession session = compile(net, H, W);
+      const std::size_t in_n =
+          static_cast<std::size_t>(cfg.in_channels) * H * W;
+      const std::size_t out_n = static_cast<std::size_t>(H) * W;
+      const auto inputs = random_input(2 * in_n, 9);
+      const auto d_outs = random_input(2 * out_n, 10);
+
+      for (int pass = 0; pass < 2; ++pass) {
+        const Tensor x = Tensor::from_data(
+            {1, cfg.in_channels, H, W},
+            std::vector<float>(inputs.begin() + pass * in_n,
+                               inputs.begin() + (pass + 1) * in_n));
+        const Tensor dy = Tensor::from_data(
+            {1, 1, H, W},
+            std::vector<float>(d_outs.begin() + pass * out_n,
+                               d_outs.begin() + (pass + 1) * out_n));
+        nn::sum(nn::mul(net.forward(x), dy)).backward();
+      }
+      const auto named = net.named_parameters();
+
+      for (const int threads : {1, 4}) {
+        runtime::set_thread_count(threads);
+        const nn::ParameterSet layout = nn::to_parameter_set(net);
+        std::vector<float> d_params(layout.numel(), 0.0f);
+        InferenceSession::SavedActivations saved;
+        std::vector<float> out(out_n);
+        for (int pass = 0; pass < 2; ++pass) {
+          session.run_saving(inputs.data() + pass * in_n, out.data(), saved,
+                             /*training=*/true);
+          session.vjp(saved, d_outs.data() + pass * out_n, nullptr,
+                      d_params.data());
+        }
+        for (std::size_t i = 0; i < named.size(); ++i)
+          EXPECT_TRUE(bitwise_equal(d_params.data() + layout.spec(i).offset,
+                                    named[i].second.grad(),
+                                    layout.spec(i).numel))
+              << named[i].first << " W=" << W << " gn=" << gn
+              << " threads=" << threads;
+      }
+      runtime::set_thread_count(0);
+    }
+  }
+}
+
+TEST(InferenceSession, VjpAdjointScratchPlannedByLiveness) {
+  // A value's adjoint lives from its last consumer back to its producer;
+  // planned over the reverse walk with the arena's planner, the scratch is
+  // a quarter of one slot per value.  The fill record keeps its size (the
+  // training record's conv inputs are not part of it): 184 960 bytes per
+  // layer on the production architecture at the fill's 24x24 plane.
+  const SurrogateConfig production;
+  for (const int extent : {24, 64}) {
+    Rng rng(44);
+    const UNet net(production.unet, rng);
+    InferenceOptions priv;
+    priv.reuse_buffers = false;
+    const InferenceSession planned = compile(net, extent, extent);
+    const InferenceSession every_slot = compile(net, extent, extent, priv);
+    EXPECT_LE(4 * planned.adjoint_floats(), every_slot.adjoint_floats())
+        << extent;
+    if (extent == 24) {
+      EXPECT_EQ(planned.saved_bytes(), 184960u);
+    }
+  }
+}
+
 TEST(InferenceSession, SavedPassKeepsOnlyTheAdjointOperands) {
   // run_saving records the pre-norm outputs, statistics, ReLU masks and
   // pool argmax; every other value stays in the arena, so the record is
@@ -456,8 +544,8 @@ TEST(InferenceSession, SavedPassKeepsOnlyTheAdjointOperands) {
   UNet net(cfg, rng);
   InferenceOptions priv;
   priv.reuse_buffers = false;  // every value in a block of its own
-  const InferenceSession session(net, kFillPlane.height, kFillPlane.width,
-                                 priv);
+  const InferenceSession session =
+      compile(net, kFillPlane.height, kFillPlane.width, priv);
   EXPECT_LT(session.saved_bytes(),
             session.arena_floats_per_sample() * sizeof(float));
 }

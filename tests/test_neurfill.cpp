@@ -484,14 +484,16 @@ TEST_F(NeurFillPipeline, ConcurrentGradientsMatchSerialBitwise) {
   }
 }
 
-TEST_F(NeurFillPipeline, PkbFillLeavesNoParameterGradients) {
-  // The fill differentiates with respect to its input only: no surrogate
-  // parameter ever gets a grad buffer, so a surrogate can be shared by
-  // concurrent fills.  (A fresh surrogate: the fixture's was trained.)
+TEST_F(NeurFillPipeline, PkbFillLeavesParameterBytesUnchanged) {
+  // The fill differentiates with respect to its input only: it reads the
+  // surrogate's weights and never writes them, so a surrogate can be
+  // shared by concurrent fills.  (A fresh surrogate: the fixture's was
+  // trained.)
   SurrogateConfig cfg;
   cfg.unet.base_channels = 4;
   cfg.unet.depth = 2;
   auto fresh = std::make_shared<CmpSurrogate>(cfg, 21);
+  const nn::ParameterSet before = fresh->parameters();
   CmpNetwork network(fresh, problem_->extraction(), problem_->coefficients());
   calibrate_network(network, *problem_);
   NeurFillOptions opt;
@@ -499,8 +501,10 @@ TEST_F(NeurFillPipeline, PkbFillLeavesNoParameterGradients) {
   opt.pkb_steps = 4;
   const FillRunResult res = neurfill_pkb(*problem_, network, opt);
   EXPECT_GT(res.iterations, 0);
-  for (const nn::Tensor& p : fresh->unet().parameters())
-    EXPECT_FALSE(p.has_grad());
+  ASSERT_EQ(fresh->parameters().numel(), before.numel());
+  EXPECT_EQ(std::memcmp(fresh->parameters().data(), before.data(),
+                        before.numel() * sizeof(float)),
+            0);
 }
 
 TEST_F(NeurFillPipeline, ReportScoresAreAssembled) {

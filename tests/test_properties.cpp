@@ -16,8 +16,8 @@
 #include "fill/pd_model.hpp"
 #include "fill/problem.hpp"
 #include "geom/designs.hpp"
-#include "nn/ops.hpp"
 #include "opt/box_qp.hpp"
+#include "tape/ops.hpp"
 
 #include "gradcheck_util.hpp"
 

@@ -14,10 +14,10 @@
 #include "cmp/contact_solver.hpp"
 #include "common/rng.hpp"
 #include "nn/gemm.hpp"
-#include "nn/ops.hpp"
-#include "nn/tensor.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
+#include "tape/ops.hpp"
+#include "tape/tensor.hpp"
 
 using namespace neurfill;
 

@@ -3,19 +3,23 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
+#include "common/rng.hpp"
 #include "fill/problem.hpp"
 #include "geom/designs.hpp"
+#include "runtime/parallel.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/datagen.hpp"
 #include "surrogate/eval.hpp"
-#include "common/rng.hpp"
 #include "surrogate/trainer.hpp"
+#include "tape_oracle.hpp"
 
 namespace neurfill {
 namespace {
@@ -54,7 +58,7 @@ TEST(Features, CropRoundTrip) {
     for (std::size_t j = 0; j < 3; ++j) g(i, j) = static_cast<double>(i * 3 + j);
   const auto padded = pad_replicate(g, 4, 4);
   const nn::Tensor t = nn::Tensor::from_data({1, 1, 4, 4}, padded);
-  const GridD back = crop_to_grid(t, 3, 3);
+  const GridD back = oracle::crop_to_grid(t, 3, 3);
   for (std::size_t i = 0; i < 3; ++i)
     for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(back(i, j), g(i, j), 1e-6);
 }
@@ -78,7 +82,8 @@ TEST(Features, AssembleLayerInputChannels) {
   const int pr = feats[0].padded_rows, pc = feats[0].padded_cols;
   const nn::Tensor fill = nn::Tensor::zeros({1, 1, pr, pc});
   const nn::Tensor incoming = nn::Tensor::zeros({1, 1, pr, pc});
-  const nn::Tensor in = assemble_layer_input(feats[0], fc, fill, incoming);
+  const nn::Tensor in =
+      oracle::assemble_layer_input(feats[0], fc, fill, incoming);
   EXPECT_EQ(in.shape(),
             (std::vector<int>{1, FeatureConstants::kInChannels, pr, pc}));
   // Channel 0 equals the static density when fill is zero.
@@ -98,7 +103,7 @@ TEST(Features, FillRaisesDensityChannel) {
   const int pr = feats[0].padded_rows, pc = feats[0].padded_cols;
   nn::Tensor fill = nn::Tensor::zeros({1, 1, pr, pc});
   fill.data()[5] = 0.2f;
-  const nn::Tensor in = assemble_layer_input(
+  const nn::Tensor in = oracle::assemble_layer_input(
       feats[0], fc, fill, nn::Tensor::zeros({1, 1, pr, pc}));
   EXPECT_NEAR(in.data()[5], feats[0].wire_density[5] + 0.2f, 1e-6);
 }
@@ -280,6 +285,120 @@ TEST(Trainer, ResumeMatchesUninterruptedBitwise) {
     std::remove((full + ext).c_str());
     std::remove((part + ext).c_str());
   }
+}
+
+::testing::AssertionResult floats_bitwise_equal(const float* a, const float* b,
+                                                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0)
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CmpSurrogateTest, InitialWeightsMatchTapeUNet) {
+  // The flat parameter set draws the RNG in the module tree's order (the
+  // 0.1 head damping included), names and orders its tensors as the tape
+  // UNet's named_parameters(), with and without group norm.
+  for (const bool gn : {true, false}) {
+    SurrogateConfig cfg = tiny_config();
+    cfg.unet.use_group_norm = gn;
+    const CmpSurrogate s(cfg, 7);
+    Rng rng(7);
+    const nn::UNet net(cfg.unet, rng);
+    const nn::ParameterSet tape = nn::to_parameter_set(net);
+    ASSERT_EQ(s.parameters().size(), tape.size());
+    for (std::size_t i = 0; i < tape.size(); ++i) {
+      EXPECT_EQ(s.parameters().spec(i).name, tape.spec(i).name);
+      EXPECT_EQ(s.parameters().spec(i).shape, tape.spec(i).shape);
+    }
+    ASSERT_EQ(s.parameters().numel(), tape.numel());
+    EXPECT_TRUE(floats_bitwise_equal(s.parameters().data(), tape.data(),
+                                     tape.numel()));
+  }
+}
+
+TEST(Trainer, StepMatchesTapeBitwise) {
+  // Several Adam steps with group norm on, two samples per step and a
+  // partial step at the end of each epoch: the session trainer (one
+  // teacher-forced pass and one reverse pass with parameter adjoints per
+  // sample, Adam on the flat buffers) must land on the tape trainer's
+  // weights and moments bitwise, at 1 and 4 threads.
+  const Layout a = make_design('a', 16, 100.0, 3);
+  TrainOptions opt;
+  opt.dataset_size = 5;
+  opt.epochs = 2;
+  opt.grad_accumulation = 2;
+  opt.grid_rows = opt.grid_cols = 16;
+  opt.learning_rate = 3e-3f;
+  opt.calibration_samples = 2;
+  opt.seed = 2;
+  const SurrogateConfig cfg = tiny_config();
+  ASSERT_TRUE(cfg.unet.use_group_norm);
+
+  CmpSurrogate reference(cfg, 7);
+  nn::UNet net = oracle::tape_unet(reference);
+  TrainingDataGenerator tape_gen({extract_windows(a)},
+                                 CmpSimulator(fast_params()), 11, 4);
+  const nn::Adam::State tape_state =
+      oracle::tape_train(reference, net, tape_gen, opt);
+  const nn::ParameterSet tape_weights = nn::to_parameter_set(net);
+
+  const std::string prefix = ::testing::TempDir() + "nf_train_vs_tape";
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    TrainingDataGenerator gen({extract_windows(a)},
+                              CmpSimulator(fast_params()), 11, 4);
+    CmpSurrogate surrogate(cfg, 7);
+    TrainOptions run = opt;
+    run.checkpoint_prefix = prefix;
+    train_surrogate(surrogate, gen, run);
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    EXPECT_EQ(surrogate.config().features.height_scale,
+              reference.config().features.height_scale);
+    EXPECT_TRUE(floats_bitwise_equal(surrogate.parameters().data(),
+                                     tape_weights.data(),
+                                     tape_weights.numel()));
+    // The moments, as the `.train` checkpoint stores them: one vector per
+    // parameter tensor, first moments then second.
+    Expected<CheckpointReader> reader =
+        CheckpointReader::open(prefix + ".train");
+    ASSERT_TRUE(reader.ok());
+    ByteReader ad(**reader->section("adam"));
+    EXPECT_EQ(ad.i64(), tape_state.t);
+    ASSERT_EQ(ad.u32(), tape_state.m.size());
+    for (const auto* moments : {&tape_state.m, &tape_state.v})
+      for (const std::vector<float>& ref : *moments) {
+        const std::vector<float> got = ad.f32_vec();
+        ASSERT_EQ(got.size(), ref.size());
+        EXPECT_TRUE(floats_bitwise_equal(got.data(), ref.data(), ref.size()));
+      }
+    EXPECT_TRUE(ad.ok() && ad.at_end());
+    for (const char* ext : {".weights", ".meta", ".train"})
+      std::remove((prefix + ext).c_str());
+  }
+  runtime::set_thread_count(0);
+}
+
+TEST(SurrogateIo, CommittedWeightsResaveByteIdentical) {
+  // The flat parameter set keeps the NFCP weights format: section names,
+  // order, shapes and payloads of the committed artifact survive a
+  // load/save round trip byte for byte.
+  const std::string committed = NF_REPO_ROOT "/data/unet_cmp";
+  auto loaded = load_surrogate(committed);
+  ASSERT_TRUE(loaded.ok()) << "missing data/unet_cmp.{meta,weights}";
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "nf_resave_test").string();
+  ASSERT_TRUE(save_surrogate(**loaded, prefix).ok());
+  const auto slurp = [](const std::string& p) {
+    std::ifstream f(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f), {});
+  };
+  const std::string ref = slurp(committed + ".weights");
+  ASSERT_FALSE(ref.empty());
+  EXPECT_TRUE(ref == slurp(prefix + ".weights"));
+  std::remove((prefix + ".meta").c_str());
+  std::remove((prefix + ".weights").c_str());
 }
 
 TEST(SurrogateIo, SaveLoadRoundTrip) {

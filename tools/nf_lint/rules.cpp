@@ -139,10 +139,10 @@ void rule_determinism(const Project& proj, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 // Rule: infer-no-autograd
 //
-// src/nn/infer is the tape-free inference path: a compiled graph that
-// re-derives everything it needs from Module weights at build time and then
-// runs pure Backend primitives, forward and VJP.  src/surrogate/infer.* is
-// its surrogate layer (extraction, chaining and their adjoints).  Any
+// src/nn/infer is the network engine: a compiled graph built from a flat
+// parameter set that runs pure Backend primitives, forward and VJP (input
+// and parameter adjoints).  src/surrogate/infer.* is its surrogate layer
+// (extraction, chaining and their adjoints).  Any
 // autograd API appearing there — the tape-building Module::forward,
 // TensorImpl, or the grad accessors — reintroduces per-op allocation and
 // tape state (shared parameter grad buffers) behind the session's back,
